@@ -1250,24 +1250,6 @@ let replication_bench () =
     o.H.Run.sim_duration_ns
   in
   let d_bank = probe `Bank and d_hot = probe `Hot in
-  (* Offline verification exactly as the CLI does it: ambiguity marks
-     first, then leader marks (lost beats ambiguous), then the traces in
-     timestamp order. *)
-  let repl_verify (o : H.Run.outcome) =
-    let checker = Leopard.Checker.create Leopard.Il_profile.postgresql_si in
-    List.iter
-      (fun (_client, txn, _at) ->
-        Leopard.Checker.mark_ambiguous_commit checker ~txn)
-      o.H.Run.repl_ambiguous;
-    List.iter
-      (fun (m : Codec.leader_mark) ->
-        Leopard.Checker.note_failover checker ~at:m.Codec.at
-          ~epoch:m.Codec.epoch ~lost:m.Codec.lost)
-      o.H.Run.leaders;
-    List.iter (Leopard.Checker.feed checker) (H.Run.all_traces_sorted o);
-    Leopard.Checker.finalize checker;
-    Leopard.Checker.report checker
-  in
   let classes =
     [
       ( "clean", `Bank,
@@ -1356,7 +1338,9 @@ let replication_bench () =
         stale := !stale + s.Cluster.stale_serves;
         resends := !resends + s.Cluster.resends
       | None -> ());
-      let report = repl_verify o in
+      let { H.Verify.report; _ } =
+        H.Verify.offline ~il:Leopard.Il_profile.postgresql_si o
+      in
       bugs := !bugs + report.Leopard.Checker.bugs_total;
       match Leopard.Checker.verdict report with
       | Leopard.Checker.Verified -> incr verified
@@ -1527,19 +1511,6 @@ let shard_bench () =
     o.H.Run.sim_duration_ns
   in
   let d_bank = probe `Bank and d_cross = probe `Cross in
-  (* Offline verification exactly as the CLI does it: coordinator
-     ambiguity marks first (the [P ... ?] lines), then the traces in
-     timestamp order. *)
-  let shard_verify (o : H.Run.outcome) =
-    let checker = Leopard.Checker.create Leopard.Il_profile.postgresql_si in
-    List.iter
-      (fun (_client, txn, _at) ->
-        Leopard.Checker.mark_coord_ambiguous checker ~txn)
-      o.H.Run.coord_ambiguous;
-    List.iter (Leopard.Checker.feed checker) (H.Run.all_traces_sorted o);
-    Leopard.Checker.finalize checker;
-    Leopard.Checker.report checker
-  in
   let classes =
     [
       ( "clean", `Bank,
@@ -1645,7 +1616,9 @@ let shard_bench () =
         resends := !resends + s.Group.resends;
         routed := !routed + s.Group.routed_reads
       | None -> ());
-      let report = shard_verify o in
+      let { H.Verify.report; _ } =
+        H.Verify.offline ~il:Leopard.Il_profile.postgresql_si o
+      in
       bugs := !bugs + report.Leopard.Checker.bugs_total;
       match Leopard.Checker.verdict report with
       | Leopard.Checker.Verified -> incr verified
@@ -1820,29 +1793,6 @@ let shard_repl_bench () =
   let d_sparse =
     (fst (run ~shape:`Sparse ~seed:seed0 ())).H.Run.sim_duration_ns
   in
-  (* Offline verification exactly as the CLI does it for a stacked run:
-     restart epochs, coordinator-ambiguity marks, failover marks (lost
-     beats ambiguous), then the traces in timestamp order. *)
-  let stack_verify (o : H.Run.outcome) =
-    let checker = Leopard.Checker.create Leopard.Il_profile.postgresql_si in
-    List.iter
-      (fun (m : H.Run.epoch_mark) ->
-        Leopard.Checker.note_restart checker ~at:m.H.Run.at
-          ~replayed:m.H.Run.replayed ~damaged:m.H.Run.damaged)
-      o.H.Run.epochs;
-    List.iter
-      (fun (_client, txn, _at) ->
-        Leopard.Checker.mark_coord_ambiguous checker ~txn)
-      o.H.Run.coord_ambiguous;
-    List.iter
-      (fun (m : Codec.leader_mark) ->
-        Leopard.Checker.note_failover checker ~at:m.Codec.at
-          ~epoch:m.Codec.epoch ~lost:m.Codec.lost)
-      o.H.Run.leaders;
-    List.iter (Leopard.Checker.feed checker) (H.Run.all_traces_sorted o);
-    Leopard.Checker.finalize checker;
-    Leopard.Checker.report checker
-  in
   let wal_chaos =
     Wal.fault_cfg ~seed:11 ~torn_tail_prob:0.4 ~lost_fsync_prob:0.3
       ~lost_fsync_window:3 ~dup_replay_prob:0.2 ()
@@ -1950,7 +1900,9 @@ let shard_repl_bench () =
         claimed := !claimed + s.Stack.claimed_clean;
         lost := !lost + s.Stack.lost_records
       | None -> ());
-      let report = stack_verify o in
+      let { H.Verify.report; _ } =
+        H.Verify.offline ~il:Leopard.Il_profile.postgresql_si o
+      in
       bugs := !bugs + report.Leopard.Checker.bugs_total;
       match Leopard.Checker.verdict report with
       | Leopard.Checker.Verified -> incr verified

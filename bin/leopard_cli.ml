@@ -172,7 +172,7 @@ let check_file ~dbms ~level ~show_bugs ~infer ~lenient ~gc_watermark
   let wall0 = Leopard_util.Clock.wall () in
   if start_cursor = 0 then begin
     (* The pre-trace marks mutate checker state that a snapshot already
-       carries (loss tallies, ambiguity sets, failover strips), so they
+       carries (loss tallies, uncertainty marks, failover counts), so they
        are fed exactly once — by the fresh pass, never by a resume. *)
     (* losses must be known before reads are checked, so a value whose
        write may have been on a skipped line is not misreported as a bug *)
@@ -183,24 +183,23 @@ let check_file ~dbms ~level ~show_bugs ~infer ~lenient ~gc_watermark
         Leopard.Checker.note_restart checker ~at:m.at ~replayed:m.replayed
           ~damaged:m.damaged)
       epochs;
-    (* ambiguous-commit marks must land before the traces they govern, or
-       the checker would treat the commit-less transaction as merely
-       unterminated instead of resolvable from later reads *)
+    (* uncertainty marks must land before the traces they govern, or
+       the checker would treat a commit-less transaction as merely
+       unterminated instead of resolvable from later reads; overlapping
+       marks are settled by [Checker.mark]'s precedence table *)
     List.iter
       (fun (m : Leopard_trace.Codec.ambiguous_mark) ->
-        Leopard.Checker.mark_ambiguous_commit checker ~txn:m.txn)
+        Leopard.Checker.mark checker ~channel:Leopard.Checker.Ambiguous
+          ~txn:m.txn)
       ambiguous;
     (* prepare markers with an unknown disposition are coordinator
-       ambiguity — a separate degradation channel from wire ambiguity,
-       fed before the traces for the same reason *)
+       ambiguity — a separate degradation channel from wire ambiguity *)
     List.iter
       (fun (m : Leopard_trace.Codec.prepare_mark) ->
         if m.disposition = Leopard_trace.Codec.Unknown then
-          Leopard.Checker.mark_coord_ambiguous checker ~txn:m.txn)
+          Leopard.Checker.mark checker ~channel:Leopard.Checker.Coordinator
+            ~txn:m.txn)
       prepare_marks;
-    (* leader marks last among the marks: a commit that was both ambiguous
-       on the wire and lost at failover is lost — note_failover strips it
-       from the ambiguous (resolvable) set permanently *)
     List.iter
       (fun (m : Leopard_trace.Codec.leader_mark) ->
         Leopard.Checker.note_failover checker ~at:m.at ~epoch:m.epoch

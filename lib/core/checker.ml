@@ -87,6 +87,17 @@ type report = {
 
 type verdict = Verified | Violation | Inconclusive of string
 
+type channel = Crashed | Ambiguous | Coordinator | Lost
+
+(* A marked transaction's uncertainty.  The crash flag stands apart
+   from the fate because a net+chaos run can both crash a client and
+   leave its commit ambiguous; the other channels compete for one fate,
+   by the table in [marked]. *)
+type fate = Ambiguous | Coordinator | Resolved | Lost
+type uncertainty = { crashed : bool; fate : fate option }
+
+let unmarked = { crashed = false; fate = None }
+
 type t = {
   profile : Il_profile.t;
   gc_every : int;
@@ -106,31 +117,13 @@ type t = {
   aborted_values : (Trace.value * int * int) list ref Cell.Tbl.t;
       (* (value, txn, terminal_aft) of aborted writes, kept only to
          classify violations as G1a aborted reads *)
-  indeterminate_ids : (int, unit) Hashtbl.t;
-      (* txns whose commit outcome the collector cannot know (crashed
-         clients): excluded from ME/FUW/SC obligations, and reads
-         matching their writes are inconclusive, not violations *)
+  marks : (int, uncertainty) Hashtbl.t;
+      (* txns whose commit outcome the trace stream cannot settle: until
+         resolved they are excluded from ME/FUW/SC obligations, and
+         reads matching their writes are inconclusive, not violations *)
   indeterminate_values : (Trace.value * int) list ref Cell.Tbl.t;
       (* (value, txn) of indeterminate writes; never pruned — a crashed
          commit may have installed them at any later point *)
-  ambiguous_ids : (int, unit) Hashtbl.t;
-      (* txns whose COMMIT was sent but never acknowledged (wire faults):
-         indeterminate like a crashed client's, but *resolvable* — a
-         later committed read observing their writes proves the commit *)
-  resolved_ids : (int, unit) Hashtbl.t;
-      (* indeterminate/ambiguous txns promoted to definitely-committed
-         by outcome resolution; marks stay in their tables, resolution
-         is recorded here *)
-  lost_ids : (int, unit) Hashtbl.t;
-      (* txns a failover reported lost with the truncated log suffix:
-         indeterminate like a crashed client's, and — unlike ambiguous
-         commits — never resolvable, because the surviving timeline
-         provably does not contain them *)
-  coord_ids : (int, unit) Hashtbl.t;
-      (* the subset of [ambiguous_ids] whose ambiguity came from a 2PC
-         coordinator crash rather than the wire: tagged only when the
-         coordinator mark was the *first* to make the txn ambiguous, so
-         the wire and coordinator channels partition exactly *)
   awaiting : (int, await_entry list ref) Hashtbl.t;
       (* reader txn -> read items parked on an unresolved writer *)
   dedup_seen : (int * int * int, Trace.t) Hashtbl.t;
@@ -186,12 +179,8 @@ let create ?(gc_every = 512) ?(narrow_candidates = true)
     txns = Hashtbl.create 4096;
     initial_readers = Cell.Tbl.create 64;
     aborted_values = Cell.Tbl.create 64;
-    indeterminate_ids = Hashtbl.create 8;
+    marks = Hashtbl.create 8;
     indeterminate_values = Cell.Tbl.create 8;
-    ambiguous_ids = Hashtbl.create 8;
-    resolved_ids = Hashtbl.create 8;
-    lost_ids = Hashtbl.create 8;
-    coord_ids = Hashtbl.create 8;
     awaiting = Hashtbl.create 8;
     dedup_seen = Hashtbl.create 64;
     dedup_ts = min_int;
@@ -229,6 +218,23 @@ let create ?(gc_every = 512) ?(narrow_candidates = true)
 
 let set_dep_hook t f = t.dep_hook <- Some f
 
+let uncertainty t id =
+  Option.value ~default:unmarked (Hashtbl.find_opt t.marks id)
+
+(* Whether a transaction's record starts out indeterminate: an open or
+   lost fate, or a crash flag (which a promotion does not clear). *)
+let unsettled u =
+  u.crashed
+  ||
+  match u.fate with
+  | Some (Ambiguous | Coordinator | Lost) -> true
+  | Some Resolved | None -> false
+
+let resolvable t id =
+  match (uncertainty t id).fate with
+  | Some (Ambiguous | Coordinator) -> true
+  | Some (Resolved | Lost) | None -> false
+
 let vtxn t id =
   match Hashtbl.find_opt t.txns id with
   | Some v -> v
@@ -239,13 +245,7 @@ let vtxn t id =
         first_iv = None;
         terminal_iv = None;
         vstatus =
-          (if
-             Hashtbl.mem t.indeterminate_ids id
-             || Hashtbl.mem t.lost_ids id
-             || Hashtbl.mem t.ambiguous_ids id
-                && not (Hashtbl.mem t.resolved_ids id)
-           then Indeterminate
-           else Active);
+          (if unsettled (uncertainty t id) then Indeterminate else Active);
         writes = Cell.Tbl.create 8;
         write_cells = [];
         pending_deps = [];
@@ -306,10 +306,12 @@ and flush_pending t v =
   List.iter (forward_dep t) deps
 
 (* ------------------------------------------------------------------ *)
-(* Indeterminate transactions: a crashed client's in-flight transaction
-   may or may not have committed server-side, and the trace stream cannot
-   tell.  Treating it as either outcome risks false alarms, so it carries
-   no obligations: its ME locks are discarded unchecked (release instant
+(* Indeterminate transactions: a marked transaction (a crashed client's
+   in-flight one, an unacknowledged or orphaned commit, a commit lost at
+   failover) may or may not have committed in the timeline the traces
+   describe, and the trace stream cannot tell.  Treating it as either
+   outcome risks false alarms, so until resolved it carries no
+   obligations: its ME locks are discarded unchecked (release instant
    unknown), it joins no FUW/SC state (never registered without a commit
    trace), pending deps touching it are dropped, and reads observing one
    of its written values are inconclusive rather than violations. *)
@@ -336,65 +338,30 @@ let make_indeterminate t (v : vtxn) =
     (fun cell (value, _) -> register_indeterminate_value t cell value v.vid)
     v.writes
 
-let mark_indeterminate t ~txn =
-  if not (Hashtbl.mem t.indeterminate_ids txn) then begin
-    Hashtbl.replace t.indeterminate_ids txn ();
-    match Hashtbl.find_opt t.txns txn with
-    | Some v when v.vstatus = Active -> make_indeterminate t v
-    | Some _ | None -> ()
-  end
+(* The precedence table, in one place.  [Crashed] only raises the flag.
+   [Ambiguous] and [Coordinator] (COMMIT or PREPAREs sent, outcome never
+   learned) claim a transaction that has no fate yet, so the first
+   ambiguity channel owns it; outcome resolution ([promote_ambiguous])
+   later moves either to [Resolved].  [Lost] — a commit on a failover's
+   truncated suffix — overrides every fate and is never replaced: the
+   surviving timeline provably lacks it, so a read observing its value
+   (which may predate the failover) proves nothing about this
+   timeline.  Apart from the tie between the two ambiguity channels,
+   marks commute. *)
+let marked u (channel : channel) =
+  match (channel, u.fate) with
+  | Crashed, _ -> { u with crashed = true }
+  | Lost, _ -> { u with fate = Some Lost }
+  | Ambiguous, None -> { u with fate = Some Ambiguous }
+  | Coordinator, None -> { u with fate = Some Coordinator }
+  | (Ambiguous | Coordinator), Some _ -> u
 
-(* An ambiguous commit (wire faults: COMMIT sent, acknowledgement never
-   received) carries the same exclusions as a crashed client's
-   transaction, but unlike the chaos plane it is {e resolvable}: the
-   COMMIT was definitely issued, so a later {e committed} read observing
-   one of its written values proves the engine applied it, and the
-   checker promotes it to definitely-committed (outcome resolution).
-   Unresolved ones surface as the [ambiguous_commits] degradation. *)
-let mark_ambiguous_commit t ~txn =
-  if
-    (not (Hashtbl.mem t.ambiguous_ids txn))
-    && not (Hashtbl.mem t.resolved_ids txn)
-  then begin
-    Hashtbl.replace t.ambiguous_ids txn ();
-    match Hashtbl.find_opt t.txns txn with
-    | Some v when v.vstatus = Active -> make_indeterminate t v
-    | Some _ | None -> ()
-  end
-
-(* A 2PC coordinator crash before the commit decision: the client can
-   never learn the outcome, exactly like a wire-ambiguous commit, and it
-   carries the same exclusions and the same resolution rule (the
-   PREPAREs were sent, so a later committed read observing one of its
-   written values proves the engine applied it).  It is tagged into a
-   separate degradation channel — [coord_ambiguous_commits] — so
-   coordinator give-ups and wire give-ups partition exactly: the tag is
-   only added when this mark is the first to make the txn ambiguous. *)
-let mark_coord_ambiguous t ~txn =
-  if
-    (not (Hashtbl.mem t.ambiguous_ids txn))
-    && not (Hashtbl.mem t.resolved_ids txn)
-  then begin
-    Hashtbl.replace t.ambiguous_ids txn ();
-    Hashtbl.replace t.coord_ids txn ();
-    match Hashtbl.find_opt t.txns txn with
-    | Some v when v.vstatus = Active -> make_indeterminate t v
-    | Some _ | None -> ()
-  end
-
-(* A commit on the truncated suffix of a failover.  It shares the
-   exclusions of an ambiguous commit but is permanently unresolvable:
-   the surviving timeline provably does not contain it, so a later read
-   observing its value proves nothing about *this* timeline (the read
-   may predate the promotion).  It is pulled out of the ambiguous set —
-   otherwise a pre-failover read could "resolve" it and post-failover
-   reads missing it would become false violations. *)
-let mark_lost_commit t ~txn =
-  Hashtbl.remove t.ambiguous_ids txn;
-  Hashtbl.remove t.resolved_ids txn;
-  Hashtbl.remove t.coord_ids txn;
-  if not (Hashtbl.mem t.lost_ids txn) then begin
-    Hashtbl.replace t.lost_ids txn ();
+let mark t ~(channel : channel) ~txn =
+  if channel = Lost then t.ext_lost_commits <- t.ext_lost_commits + 1;
+  let before = uncertainty t txn in
+  let after = marked before channel in
+  if after <> before then begin
+    Hashtbl.replace t.marks txn after;
     match Hashtbl.find_opt t.txns txn with
     | Some v when v.vstatus = Active -> make_indeterminate t v
     | Some _ | None -> ()
@@ -405,10 +372,6 @@ let indeterminate_writer t cell value =
   | Some entries ->
     Option.map snd (List.find_opt (fun (v, _) -> v = value) !entries)
   | None -> None
-
-let resolvable t writer =
-  Hashtbl.mem t.ambiguous_ids writer
-  && not (Hashtbl.mem t.resolved_ids writer)
 
 (* ------------------------------------------------------------------ *)
 (* CR verification of one deferred read (Algorithm 2, ConsistentRead) *)
@@ -715,7 +678,8 @@ and promote_ambiguous t writer ~observed_aft =
       (fun _cell entries ->
         entries := List.filter (fun (_, id) -> id <> writer) !entries)
       t.indeterminate_values;
-    Hashtbl.replace t.resolved_ids writer ();
+    Hashtbl.replace t.marks writer
+      { (uncertainty t writer) with fate = Some Resolved };
     w.vstatus <- Committed;
     t.committed <- t.committed + 1;
     let bef =
@@ -863,13 +827,9 @@ let truncate t ~watermark =
       List.iter (fun e -> keep e.a_writer) !entries)
     t.awaiting;
   (* marked transactions can still be promoted (outcome resolution) or
-     re-queried; their ids stay in the open sets of the summary *)
-  List.iter
-    (fun ids ->
-      (* lint: allow hashtbl-order — building a membership set; commutative *)
-      Hashtbl.iter (fun id () -> keep id) ids)
-    [ t.indeterminate_ids; t.ambiguous_ids; t.resolved_ids; t.lost_ids;
-      t.coord_ids ];
+     re-queried; they stay in the uncertainty table of the summary *)
+  (* lint: allow hashtbl-order — building a membership set; commutative *)
+  Hashtbl.iter (fun id _ -> keep id) t.marks;
   (* lint: allow hashtbl-order — building a membership set; commutative *)
   Cell.Tbl.iter
     (fun _ entries -> List.iter (fun (_, id) -> keep id) !entries)
@@ -1128,7 +1088,7 @@ and feed_fresh t trace =
   | Trace.Write items -> handle_write t v trace items
   | (Trace.Commit | Trace.Abort)
     when v.vstatus = Indeterminate
-         || Hashtbl.mem t.resolved_ids trace.Trace.txn ->
+         || (uncertainty t trace.Trace.txn).fate = Some Resolved ->
     (* defensive: a terminal for a transaction already declared
        indeterminate (e.g. a late mark racing a delivered terminal) or
        already promoted by outcome resolution adds no obligations — the
@@ -1195,47 +1155,21 @@ let note_failover t ~at ~epoch ~lost =
   if at < 0 then invalid_arg "Checker.note_failover: negative timestamp";
   if epoch < 1 then invalid_arg "Checker.note_failover: epoch must be >= 1";
   t.ext_failovers <- t.ext_failovers + 1;
-  t.ext_lost_commits <- t.ext_lost_commits + List.length lost;
-  List.iter (fun txn -> mark_lost_commit t ~txn) lost
-
-let degradation t =
-  {
-    crashed_clients = t.ext_crashed_clients;
-    indeterminate_txns = Hashtbl.length t.indeterminate_ids;
-    dup_traces_dropped = t.dup_dropped;
-    late_traces_dropped = t.ext_late_dropped;
-    lost_traces = t.ext_lost;
-    inconclusive_reads = t.inconclusive_reads;
-    unterminated_txns =
-      (* only meaningful once the stream ended: mid-run every in-flight
-         transaction is legitimately unterminated *)
-      (if not t.finalized then 0
-       else
-         (* lint: allow hashtbl-order — count-fold; commutative *)
-         Hashtbl.fold
-           (fun _ v acc -> if v.vstatus = Active then acc + 1 else acc)
-           t.txns 0);
-    restarts = t.ext_restarts;
-    recovery_lost_records = t.ext_recovery_lost;
-    failovers = t.ext_failovers;
-    lost_suffix_commits = t.ext_lost_commits;
-    ambiguous_commits =
-      (* lint: allow hashtbl-order — count-fold; commutative *)
-      Hashtbl.fold
-        (fun id () acc ->
-          if Hashtbl.mem t.resolved_ids id || Hashtbl.mem t.coord_ids id then
-            acc
-          else acc + 1)
-        t.ambiguous_ids 0;
-    coord_ambiguous_commits =
-      (* lint: allow hashtbl-order — count-fold; commutative *)
-      Hashtbl.fold
-        (fun id () acc ->
-          if Hashtbl.mem t.resolved_ids id then acc else acc + 1)
-        t.coord_ids 0;
-  }
+  List.iter (fun txn -> mark t ~channel:Lost ~txn) lost
 
 let report t =
+  let crashed, ambiguous, coordinator, resolved =
+    (* lint: allow hashtbl-order — count-fold; commutative *)
+    Hashtbl.fold
+      (fun _ u (c, a, co, r) ->
+        let c = if u.crashed then c + 1 else c in
+        match u.fate with
+        | Some Ambiguous -> (c, a + 1, co, r)
+        | Some Coordinator -> (c, a, co + 1, r)
+        | Some Resolved -> (c, a, co, r + 1)
+        | Some Lost | None -> (c, a, co, r))
+      t.marks (0, 0, 0, 0)
+  in
   {
     traces = t.traces;
     committed = t.committed;
@@ -1264,8 +1198,31 @@ let report t =
     pruned_graph = t.pruned_graph;
     truncations = t.truncations;
     truncated_deps = t.truncated_deps;
-    resolved_ambiguous = Hashtbl.length t.resolved_ids;
-    degradation = degradation t;
+    resolved_ambiguous = resolved;
+    degradation =
+      {
+        crashed_clients = t.ext_crashed_clients;
+        indeterminate_txns = crashed;
+        dup_traces_dropped = t.dup_dropped;
+        late_traces_dropped = t.ext_late_dropped;
+        lost_traces = t.ext_lost;
+        inconclusive_reads = t.inconclusive_reads;
+        unterminated_txns =
+          (* only meaningful once the stream ended: mid-run every
+             in-flight transaction is legitimately unterminated *)
+          (if not t.finalized then 0
+           else
+             (* lint: allow hashtbl-order — count-fold; commutative *)
+             Hashtbl.fold
+               (fun _ v acc -> if v.vstatus = Active then acc + 1 else acc)
+               t.txns 0);
+        restarts = t.ext_restarts;
+        recovery_lost_records = t.ext_recovery_lost;
+        ambiguous_commits = ambiguous;
+        failovers = t.ext_failovers;
+        lost_suffix_commits = t.ext_lost_commits;
+        coord_ambiguous_commits = coordinator;
+      };
   }
 
 let degradation_reason d =
@@ -1331,6 +1288,21 @@ let status_of_code = function
   | "aborted" -> Aborted
   | "indeterminate" -> Indeterminate
   | s -> failwith ("Checker: unknown status " ^ s)
+
+let fate_code = function
+  | None -> "-"
+  | Some Ambiguous -> "ambiguous"
+  | Some Coordinator -> "coordinator"
+  | Some Resolved -> "resolved"
+  | Some Lost -> "lost"
+
+let fate_of_code = function
+  | "-" -> None
+  | "ambiguous" -> Some Ambiguous
+  | "coordinator" -> Some Coordinator
+  | "resolved" -> Some Resolved
+  | "lost" -> Some Lost
+  | s -> failwith ("Checker: unknown fate " ^ s)
 
 let mechanism_of_string = function
   | "CR" -> Bug.Cr
@@ -1463,20 +1435,11 @@ let encode t =
                  (List.map
                     (fun (value, txn) -> Printf.sprintf "%d,%d" value txn)
                     entries))));
-  let id_set name ids =
-    let sorted =
-      Hashtbl.fold (fun id () acc -> id :: acc) ids []
-      |> List.sort Int.compare
-    in
-    line
-      (Printf.sprintf "id\t%s\t%s" name
-         (String.concat "," (List.map string_of_int sorted)))
-  in
-  id_set "indeterminate" t.indeterminate_ids;
-  id_set "ambiguous" t.ambiguous_ids;
-  id_set "resolved" t.resolved_ids;
-  id_set "lost" t.lost_ids;
-  id_set "coord" t.coord_ids;
+  Hashtbl.fold (fun id u acc -> (id, u) :: acc) t.marks []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (id, u) ->
+         line
+           (Printf.sprintf "mk\t%d\t%b\t%s" id u.crashed (fate_code u.fate)));
   Hashtbl.fold (fun reader entries acc -> (reader, !entries) :: acc) t.awaiting []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (reader, entries) ->
@@ -1529,7 +1492,7 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
     let txn_lines = ref [] and write_lines = ref [] and dep_lines = ref [] in
     let deferred_lines = ref [] and ir_lines = ref [] in
     let av_lines = ref [] and nv_lines = ref [] in
-    let id_lines = ref [] and aw_lines = ref [] and du_lines = ref [] in
+    let mk_lines = ref [] and aw_lines = ref [] and du_lines = ref [] in
     let vo_lines = ref [] and me_lines = ref [] in
     let fw_lines = ref [] and sc_lines = ref [] and dl_lines = ref [] in
     List.iter
@@ -1549,7 +1512,7 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
         | "ir" -> push ir_lines
         | "av" -> push av_lines
         | "nv" -> push nv_lines
-        | "id" -> push id_lines
+        | "mk" -> push mk_lines
         | "aw" -> push aw_lines
         | "du" -> push du_lines
         | "vo" -> push vo_lines
@@ -1714,24 +1677,15 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
           | [ value; txn ] -> (int_of_string value, int_of_string txn)
           | _ -> failwith "Checker.decode: malformed indeterminate-value entry")
     in
-    let sets = Hashtbl.create 8 in
+    let marks = Hashtbl.create 8 in
     List.iter
       (fun rest ->
         match String.split_on_char '\t' rest with
-        | [ name; ids ] ->
-          let table = Hashtbl.create 8 in
-          if ids <> "" then
-            List.iter
-              (fun id -> Hashtbl.replace table (int_of_string id) ())
-              (String.split_on_char ',' ids);
-          Hashtbl.replace sets name table
-        | _ -> failwith "Checker.decode: malformed id-set record")
-      (in_order id_lines);
-    let id_set name =
-      match Hashtbl.find_opt sets name with
-      | Some table -> table
-      | None -> Hashtbl.create 8
-    in
+        | [ id; crashed; fate ] ->
+          Hashtbl.replace marks (int_of_string id)
+            { crashed = bool_of_string crashed; fate = fate_of_code fate }
+        | _ -> failwith "Checker.decode: malformed mark record")
+      (in_order mk_lines);
     let awaiting = Hashtbl.create 8 in
     List.iter
       (fun rest ->
@@ -1857,12 +1811,8 @@ let decode ?(gc_every = 512) ?(narrow_candidates = true)
             deferred;
             initial_readers;
             aborted_values;
-            indeterminate_ids = id_set "indeterminate";
+            marks;
             indeterminate_values;
-            ambiguous_ids = id_set "ambiguous";
-            resolved_ids = id_set "resolved";
-            lost_ids = id_set "lost";
-            coord_ids = id_set "coord";
             awaiting;
             dedup_seen;
             dedup_ts;

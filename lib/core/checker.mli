@@ -79,51 +79,69 @@ val truncate : t -> watermark:int -> unit
     structure into accumulated per-source tallies — the one structure
     periodic gc never bounds.  Folded counts are merged back into
     {!report.deps_deduced} / {!report.deduced_by_source}, so a
-    truncated run reports the same totals as an untruncated one; open
-    ambiguous/lost/indeterminate sets, degradation counters and stored
-    bugs are always retained.  After a truncation, {!live_size} is
+    truncated run reports the same totals as an untruncated one; the
+    uncertainty marks ({!mark}), degradation counters and stored bugs
+    are always retained.  After a truncation, {!live_size} is
     O(window): bounded by the state reachable from live transactions.
     Safe to call at any dispatch point, any number of times. *)
 
-val mark_indeterminate : t -> txn:int -> unit
+type channel =
+  | Crashed
+      (** the client crashed with the transaction in flight: the commit
+          may or may not have taken effect server-side *)
+  | Ambiguous
+      (** the client sent COMMIT but never received the acknowledgement
+          (wire faults: the request or its reply was lost, or the
+          connection reset after delivery) *)
+  | Coordinator
+      (** the 2PC coordinator crashed before reaching a commit decision
+          (a trace-file [P … ?] marker, or [Run]'s coordinator-ambiguity
+          channel): the client can never learn the outcome *)
+  | Lost
+      (** the commit sat on a failover's truncated log suffix (usually
+          reported through {!note_failover}) *)
+
+val mark : t -> channel:channel -> txn:int -> unit
 (** Declare that [txn]'s commit outcome is unknowable from the trace
-    stream (its client crashed with the transaction in flight — the
-    commit may or may not have taken effect server-side).  The
-    transaction is excluded from ME/FUW/SC obligations, dependencies
-    touching it are dropped, and reads observing one of its written
-    values count as inconclusive instead of reporting a violation.  May
-    be called before or after the transaction's traces are fed; call it
-    no later than the batch in which the crash was detected so downstream
-    reads are already covered when they are checked. *)
+    stream, for the reason [channel] names.  A marked transaction is
+    excluded from ME/FUW/SC obligations, dependencies touching it are
+    dropped, and reads observing one of its written values count as
+    inconclusive instead of reporting a violation.  Call it no later
+    than the batch in which the uncertainty was detected, so downstream
+    reads are already covered when they are checked.
 
-val mark_ambiguous_commit : t -> txn:int -> unit
-(** Declare that [txn]'s client sent a COMMIT but never received the
-    acknowledgement (wire faults: the request or its reply was lost, or
-    the connection reset after delivery).  The transaction starts with
-    the same exclusions as {!mark_indeterminate}, but is {e resolvable}:
-    when a later {e committed} read observes one of its written values,
-    the checker promotes it to definitely-committed ("outcome
-    resolution" — an engine at read-committed or above never serves an
-    unapplied write to a transaction that goes on to commit) and the
-    read is re-checked against the promoted version.  Promoted
-    transactions count in {!report.resolved_ambiguous} and stop
-    degrading the verdict; unresolved ones count in
-    {!degradation.ambiguous_commits}.  ME and FUW obligations stay
-    waived even after promotion (their instants are unknowable).  Call
-    it no later than the batch in which the give-up was detected, like
-    {!mark_indeterminate}. *)
+    Each transaction keeps a [crashed] flag and at most one {e fate}.
+    The transitions are:
 
-val mark_coord_ambiguous : t -> txn:int -> unit
-(** Declare that [txn]'s 2PC coordinator crashed before reaching a
-    commit decision (a trace-file [P … ?] marker, or [Run]'s
-    coordinator-ambiguity channel): the client can never learn the
-    outcome.  Identical exclusions and resolution rule to
-    {!mark_ambiguous_commit}, but counted in a separate channel —
-    {!degradation.coord_ambiguous_commits} — so coordinator give-ups
-    and wire give-ups partition exactly: whichever mark arrives first
-    claims the transaction, and a later mark from the other channel is
-    a no-op.  A failover's {!note_failover} lost-suffix still wins over
-    both ("lost beats ambiguous"). *)
+    {v
+    mark / event     no fate      Ambiguous  Coordinator  Resolved  Lost
+    ---------------  -----------  ---------  -----------  --------  ----
+    Crashed          sets the crashed flag; the fate is unchanged
+    Ambiguous        Ambiguous    -          -            -         -
+    Coordinator      Coordinator  -          -            -         -
+    Lost             Lost         Lost       Lost         Lost      -
+    resolving read   -            Resolved   Resolved     -         -
+    v}
+
+    ("-": no change).  So the first ambiguity channel owns a
+    transaction, and the loss channel beats both; apart from that tie,
+    marks commute — the result does not depend on the order they are
+    made in.  An [Ambiguous] or [Coordinator] fate is {e resolvable}:
+    when a later {e committed} read observes one of the transaction's
+    written values, the checker promotes it to definitely-committed
+    ("outcome resolution" — an engine at read-committed or above never
+    serves an unapplied write to a transaction that goes on to commit)
+    and the read is re-checked against the promoted version.  ME and
+    FUW obligations stay waived even after promotion (their instants
+    are unknowable).  A [Lost] commit is never resolvable: the
+    surviving timeline provably lacks it, so a read observing its value
+    is inconclusive rather than proof of commit.
+
+    The channels surface in the report as {!degradation.indeterminate_txns}
+    (crashed flags), {!degradation.ambiguous_commits} and
+    {!degradation.coord_ambiguous_commits} (fates still open),
+    {!report.resolved_ambiguous} (promotions) and
+    {!degradation.lost_suffix_commits} (one per [Lost] mark). *)
 
 val note_crashed_clients : t -> int -> unit
 (** Add externally detected client crashes to the degradation stats. *)
@@ -153,11 +171,10 @@ val note_failover : t -> at:int -> epoch:int -> lost:int list -> unit
 (** Declare one leader change (a trace-file [L] marker, or [Run]'s
     leader marks): at instant [at] a follower was promoted into epoch
     [epoch], truncating the replication log to the survivor prefix and
-    losing the commits in [lost].  Call it {e before} feeding traces —
-    lost transactions then enter the checker already indeterminate, and
-    (unlike {!mark_ambiguous_commit}) they are {e never} resolvable: the
-    surviving timeline provably lacks them, so a read observing their
-    values is inconclusive rather than proof of commit.  A lossless
+    losing the commits in [lost], each of which is marked
+    {!mark}[ ~channel:Lost].  Call it {e before} feeding traces — lost
+    transactions then enter the checker already indeterminate, and they
+    are {e never} resolvable.  A lossless
     failover ([lost = []]) does not degrade the verdict; lost commits
     are counted in {!degradation.lost_suffix_commits} and weaken
     [Verified] to [Inconclusive] — never a false [Violation].  Raises
@@ -165,7 +182,7 @@ val note_failover : t -> at:int -> epoch:int -> lost:int list -> unit
 
 type degradation = {
   crashed_clients : int;
-  indeterminate_txns : int;  (** transactions marked indeterminate *)
+  indeterminate_txns : int;  (** transactions marked [Crashed] *)
   dup_traces_dropped : int;  (** duplicate deliveries deduped by [feed] *)
   late_traces_dropped : int;  (** reported via {!note_late_dropped} *)
   lost_traces : int;  (** reported via {!note_lost_traces} *)
@@ -181,7 +198,7 @@ type degradation = {
           [Verified] to [Inconclusive] *)
   ambiguous_commits : int;
       (** commits still ambiguous after resolution
-          ({!mark_ambiguous_commit} minus promotions); non-zero weakens
+          ([Ambiguous] marks minus promotions); non-zero weakens
           [Verified] to [Inconclusive] *)
   failovers : int;  (** leader changes ({!note_failover}) *)
   lost_suffix_commits : int;
@@ -189,7 +206,7 @@ type degradation = {
           non-zero weakens [Verified] to [Inconclusive] *)
   coord_ambiguous_commits : int;
       (** commits still ambiguous because the 2PC coordinator crashed
-          undecided ({!mark_coord_ambiguous} minus promotions); disjoint
+          undecided ([Coordinator] marks minus promotions); disjoint
           from [ambiguous_commits] by first-mark precedence; non-zero
           weakens [Verified] to [Inconclusive] *)
 }

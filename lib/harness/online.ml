@@ -48,26 +48,28 @@ let run ?(batch_window_ns = 500_000) ?(gc_every = 512) ?max_stall_ns
   let verify_wall = ref 0.0 in
   let max_lag = ref 0 in
   let final_lag = ref 0 in
-  (* Indeterminate marks must land before the traces they govern are fed:
+  (* Uncertainty marks must land before the traces they govern are fed:
      a crash at tick k is marked at tick k+1, ahead of any dispatch of
      post-crash timestamps.  Ambiguous commits from the wire (client gave
      up on a COMMIT without learning the outcome) are polled the same
-     way — both calls are idempotent, so re-marking every round is
+     way — marks are idempotent, so re-marking every round is
      harmless. *)
-  let mark_indeterminates () =
-    (match chaos with
-    | Some ch ->
-      List.iter
-        (fun txn -> Leopard.Checker.mark_indeterminate checker ~txn)
-        (Chaos.indeterminate_txns ch)
-    | None -> ());
-    match cfg.Run.net with
-    | Some rt ->
-      List.iter
-        (fun (_client, txn, _at) ->
-          Leopard.Checker.mark_ambiguous_commit checker ~txn)
-        (Run.net_ambiguous rt)
-    | None -> ()
+  let mark_uncertain () =
+    Option.iter
+      (fun ch ->
+        List.iter
+          (fun txn ->
+            Leopard.Checker.mark checker ~channel:Leopard.Checker.Crashed ~txn)
+          (Chaos.indeterminate_txns ch))
+      chaos;
+    Option.iter
+      (fun rt ->
+        List.iter
+          (fun (_client, txn, _at) ->
+            Leopard.Checker.mark checker ~channel:Leopard.Checker.Ambiguous
+              ~txn)
+          (Run.net_ambiguous rt))
+      cfg.Run.net
   in
   (* Loss accounting is incremental, not end-of-run: a read checked in
      round k must already know the collection lost traces in rounds < k,
@@ -131,7 +133,7 @@ let run ?(batch_window_ns = 500_000) ?(gc_every = 512) ?max_stall_ns
     let lag = !produced - Leopard.Pipeline.dispatched pipeline in
     if lag > !max_lag then max_lag := lag;
     let t0 = Leopard_util.Clock.wall () in
-    mark_indeterminates ();
+    mark_uncertain ();
     sync_losses ();
     ignore (Leopard.Pipeline.drain pipeline ~f:(Leopard.Checker.feed checker));
     sync_losses ();
@@ -149,7 +151,7 @@ let run ?(batch_window_ns = 500_000) ?(gc_every = 512) ?max_stall_ns
   (* the workload stopped: everything left is dispatchable *)
   workload_done := true;
   let t0 = Leopard_util.Clock.wall () in
-  mark_indeterminates ();
+  mark_uncertain ();
   sync_losses ();
   ignore (Leopard.Pipeline.drain pipeline ~f:(Leopard.Checker.feed checker));
   sync_losses ();

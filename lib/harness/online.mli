@@ -51,7 +51,8 @@ val run :
     gracefully instead of wedging: a crashed client's source reports
     {!Leopard.Pipeline.Closed_crashed} (its stream has definitively
     ended), its in-flight transaction is marked
-    {!Leopard.Checker.mark_indeterminate} before the next dispatch, and
+    {!Leopard.Checker.mark}[ ~channel:Crashed] before the next dispatch
+    (wire give-ups likewise get [~channel:Ambiguous]), and
     collection losses are recorded on the checker so the report's
     verdict comes out [Inconclusive] rather than a false [Verified] or
     a spurious violation.  [max_stall_ns] (simulated time, measured in

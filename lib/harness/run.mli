@@ -62,7 +62,7 @@ type net_rt
 val net_ambiguous : net_rt -> (int * int * int) list
 (** [(client, txn, gave_up_at)] of every commit whose outcome the client
     never learned, oldest first — pollable mid-run by an online monitor
-    (feed the txn ids to [Checker.mark_ambiguous_commit]). *)
+    (feed the txn ids to [Checker.mark ~channel:Ambiguous]). *)
 
 type repl_config = {
   cluster : Leopard_replication.Cluster.config;
@@ -266,7 +266,7 @@ type outcome = {
       (** [(client, txn, gave_up_at)] of commits whose replication gate
           timed out (applied at the primary, durability across failover
           unknown), oldest first — feed to
-          [Checker.mark_ambiguous_commit] *)
+          [Checker.mark ~channel:Ambiguous] *)
   shard : Leopard_shard.Group.stats option;
       (** shard-group statistics; [None] off the shard plane *)
   shard_repl : Leopard_compose.Stack.stats option;
@@ -276,12 +276,12 @@ type outcome = {
   coord_ambiguous : (int * int * int) list;
       (** [(client, txn, orphaned_at)] of commits whose 2PC coordinator
           crashed before deciding, oldest first — feed to
-          [Checker.mark_coord_ambiguous] *)
+          [Checker.mark ~channel:Coordinator] *)
   shard_marks : Leopard_trace.Codec.shard_mark list;
       (** the group-topology declaration ([S] line) when sharded *)
   prepare_marks : Leopard_trace.Codec.prepare_mark list;
       (** 2PC round dispositions ([P] lines), oldest first; feed the
-          [Unknown] ones to [Checker.mark_coord_ambiguous] before the
+          [Unknown] ones to [Checker.mark ~channel:Coordinator] before the
           traces *)
 }
 
@@ -296,7 +296,7 @@ and net_stats = {
   give_ups : int;  (** calls settled without any reply *)
   ambiguous : (int * int * int) list;
       (** [(client, txn, gave_up_at)] of commits with unknown outcome,
-          oldest first — feed to [Checker.mark_ambiguous_commit] *)
+          oldest first — feed to [Checker.mark ~channel:Ambiguous] *)
   dup_commit_acks : int;
       (** COMMITs the engine acknowledged idempotently (retried or
           link-duplicated commit tokens that had already been applied) *)

@@ -6,29 +6,20 @@ type result = {
 let offline ?gc_every ~il (outcome : Run.outcome) =
   let checker = Leopard.Checker.create ?gc_every il in
   let pipeline = Leopard.Pipeline.of_lists outcome.Run.client_traces in
-  (* Mark order is load-bearing (see bin/leopard_cli.ml's --check path):
-     epochs first, then the two wire-ambiguity channels, then the
-     coordinator channel, and failover marks last — "lost beats
-     ambiguous" requires note_failover to see the ambiguous set. *)
+  let mark channel =
+    List.iter (fun (_client, txn, _at) ->
+        Leopard.Checker.mark checker ~channel ~txn)
+  in
   List.iter
     (fun (e : Run.epoch_mark) ->
       Leopard.Checker.note_restart checker ~at:e.at ~replayed:e.replayed
         ~damaged:e.damaged)
     outcome.Run.epochs;
-  (match outcome.Run.net with
-  | Some ns ->
-    List.iter
-      (fun (_client, txn, _at) ->
-        Leopard.Checker.mark_ambiguous_commit checker ~txn)
-      ns.Run.ambiguous
-  | None -> ());
-  List.iter
-    (fun (_client, txn, _at) ->
-      Leopard.Checker.mark_ambiguous_commit checker ~txn)
-    outcome.Run.repl_ambiguous;
-  List.iter
-    (fun (_client, txn, _at) -> Leopard.Checker.mark_coord_ambiguous checker ~txn)
-    outcome.Run.coord_ambiguous;
+  Option.iter
+    (fun ns -> mark Leopard.Checker.Ambiguous ns.Run.ambiguous)
+    outcome.Run.net;
+  mark Leopard.Checker.Ambiguous outcome.Run.repl_ambiguous;
+  mark Leopard.Checker.Coordinator outcome.Run.coord_ambiguous;
   List.iter
     (fun (m : Leopard_trace.Codec.leader_mark) ->
       Leopard.Checker.note_failover checker ~at:m.at ~epoch:m.epoch

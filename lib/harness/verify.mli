@@ -1,13 +1,11 @@
-(** Offline verification of a completed run — the canonical mark-feeding
-    order in one reusable entry point.
+(** Offline verification of a completed run in one reusable entry point.
 
     Every consumer of {!Run.execute} that verifies afterwards (the CLI's
     offline path, the bench harness, campaign cells on worker domains)
-    must feed the checker the same things in the same order: restart
-    epochs, wire- and replication-ambiguous commits, coordinator-orphaned
-    rounds, failover marks (lost beats ambiguous — failovers must see
-    the ambiguous set), and only then the traces through the two-level
-    pipeline.  Centralizing the order here keeps a future channel from
+    must feed the checker the same things: restart epochs, wire- and
+    replication-ambiguous commits, coordinator-orphaned rounds and
+    failover marks, all before the traces go through the two-level
+    pipeline.  Centralizing the feed here keeps a future channel from
     being wired into one caller and silently skipped in another.
 
     The function is self-contained per call — it allocates its own

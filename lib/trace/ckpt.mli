@@ -22,6 +22,11 @@
     (FNV-1a), so arbitrary snapshot bytes round-trip and single-byte
     damage is detected per line. *)
 
+val checksum : string -> string
+(** 64-bit FNV-1a of the string, printed as 16 hex digits — the
+    per-line checksum of frames here and of campaign checkpoint
+    records, and the campaign grid fingerprint. *)
+
 val fingerprint : string list -> string
 (** FNV-1a digest of the given identity components (profile name,
     checker flags, input identity…), printed as 16 hex digits.  Binds a

@@ -19,9 +19,10 @@
      hole), and [Shard_fault.Fractured_commit] on a just-failed-over
      primary (the rebuilt log splices out a committed cross-shard
      slice);
-   - the cross-plane degradation precedence matrix holds: the loss
-     channel beats both ambiguity channels, the two ambiguity channels
-     partition by first mark, and none of it masks a provable
+   - the cross-plane degradation precedence matrix holds in every mark
+     order: the loss channel beats both ambiguity channels, the two
+     ambiguity channels partition by first mark, a crash counts on its
+     own channel beside any of them, and none of it masks a provable
      violation;
    - [Stack.config], [Run.shard_config] and the CLI-level
      [Cli_validate.composition] matrix reject the nonsense shapes. *)
@@ -94,9 +95,8 @@ let repl_stats outcome =
   | Some s -> s
   | None -> Alcotest.fail "stacked run must report shard-repl stats"
 
-(* Offline verification exactly as the CLI does it: restart epochs,
-   then ambiguity marks, then failover marks (lost beats ambiguous),
-   then the traces in timestamp order. *)
+(* Offline verification as the CLI does it: restart epochs, ambiguity
+   and failover marks, then the traces in timestamp order. *)
 let check_outcome outcome =
   let checker = Checker.create si in
   List.iter
@@ -105,7 +105,8 @@ let check_outcome outcome =
         ~damaged:m.Run.damaged)
     outcome.Run.epochs;
   List.iter
-    (fun (_client, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
+    (fun (_client, txn, _at) ->
+      Checker.mark checker ~channel:Checker.Coordinator ~txn)
     outcome.Run.coord_ambiguous;
   List.iter
     (fun (m : Codec.leader_mark) ->
@@ -370,53 +371,84 @@ let test_participant_wal_damage_stays_honest () =
 
 (* --- cross-plane degradation precedence matrix --- *)
 
-(* Feed order is the CLI's: ambiguity marks first, failover marks
-   second, traces last.  For every pair of channels claiming the same
-   commit the documented winner owns it, the loser's counter stays at
-   zero, and a resolving observation never resurrects a lost commit. *)
-let degradation_of ~marks =
+(* Marks first, traces last.  For every combination of channels
+   claiming the same commit the documented winner owns it, the loser's
+   counter stays at zero, a resolving observation never resurrects a
+   lost commit, and the order of the marks does not change any of it.
+   A lost commit stays unresolved, so those rows also feed a later
+   committed read of the pre-image (x = 0), which must not be taken
+   for a violation; once the commit resolves, the same read is one
+   (see the next test). *)
+let degradation_of ~marks ~unresolved =
   let checker = Checker.create si in
   List.iter (fun mark -> mark checker) marks;
   List.iter (Checker.feed checker)
-    [
-      Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];
-      Helpers.read ~txn:2 ~bef:100 ~aft:110 [ (x, 100) ];
-      Helpers.commit ~txn:2 ~bef:120 ~aft:130 ();
-    ];
+    ([
+       Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];
+       Helpers.read ~txn:2 ~bef:100 ~aft:110 [ (x, 100) ];
+       Helpers.commit ~txn:2 ~bef:120 ~aft:130 ();
+     ]
+    @
+    if unresolved then
+      [
+        Helpers.read ~txn:3 ~bef:200 ~aft:210 [ (x, 0) ];
+        Helpers.commit ~txn:3 ~bef:220 ~aft:230 ();
+      ]
+    else []);
   Checker.finalize checker;
   let r = Checker.report checker in
   Alcotest.(check int) "precedence never fabricates a bug" 0
     r.Checker.bugs_total;
   r.Checker.degradation
 
-let wire c = Checker.mark_ambiguous_commit c ~txn:1
-let coord c = Checker.mark_coord_ambiguous c ~txn:1
+let wire c = Checker.mark c ~channel:Checker.Ambiguous ~txn:1
+let coord c = Checker.mark c ~channel:Checker.Coordinator ~txn:1
 let lost c = Checker.note_failover c ~at:50 ~epoch:2 ~lost:[ 1 ]
+let crashed c = Checker.mark c ~channel:Checker.Crashed ~txn:1
 
 let test_precedence_matrix () =
-  let check_counts name ~marks ~wire:w ~coord:co ~lost:l =
-    let d = degradation_of ~marks in
+  let check_counts name ~marks ?(crashed = 0) ~wire:w ~coord:co ~lost:l () =
+    let d = degradation_of ~marks ~unresolved:(l > 0) in
     Alcotest.(check int) (name ^ ": wire channel") w
       d.Checker.ambiguous_commits;
     Alcotest.(check int) (name ^ ": coordinator channel") co
       d.Checker.coord_ambiguous_commits;
     Alcotest.(check int) (name ^ ": loss channel") l
-      d.Checker.lost_suffix_commits
+      d.Checker.lost_suffix_commits;
+    Alcotest.(check int) (name ^ ": crash channel") crashed
+      d.Checker.indeterminate_txns
   in
   (* ambiguity channels partition by first mark — and both resolve on
      the committed observation, so the surviving counters are zero *)
   check_counts "wire then coord" ~marks:[ wire; coord ] ~wire:0 ~coord:0
-    ~lost:0;
+    ~lost:0 ();
   check_counts "coord then wire" ~marks:[ coord; wire ] ~wire:0 ~coord:0
-    ~lost:0;
-  (* the loss channel beats either ambiguity channel: the commit is
-     permanently unresolvable, so the observation resolves nothing *)
+    ~lost:0 ();
+  (* the loss channel beats either ambiguity channel, in either order:
+     the commit is permanently unresolvable, so the observation
+     resolves nothing *)
   check_counts "wire then lost" ~marks:[ wire; lost ] ~wire:0 ~coord:0
-    ~lost:1;
+    ~lost:1 ();
   check_counts "coord then lost" ~marks:[ coord; lost ] ~wire:0 ~coord:0
-    ~lost:1;
+    ~lost:1 ();
   check_counts "all three" ~marks:[ wire; coord; lost ] ~wire:0 ~coord:0
-    ~lost:1
+    ~lost:1 ();
+  check_counts "lost then wire" ~marks:[ lost; wire ] ~wire:0 ~coord:0
+    ~lost:1 ();
+  check_counts "lost then coord" ~marks:[ lost; coord ] ~wire:0 ~coord:0
+    ~lost:1 ();
+  check_counts "lost then both" ~marks:[ lost; wire; coord ] ~wire:0
+    ~coord:0 ~lost:1 ();
+  (* a crash is a flag beside the fate: it counts on its own channel and
+     leaves the other channels exactly as they would be without it *)
+  List.iter
+    (fun (name, other, w, co, l) ->
+      check_counts ("crashed then " ^ name) ~marks:[ crashed; other ]
+        ~crashed:1 ~wire:w ~coord:co ~lost:l ();
+      check_counts (name ^ " then crashed") ~marks:[ other; crashed ]
+        ~crashed:1 ~wire:w ~coord:co ~lost:l ())
+    [ ("wire", wire, 0, 0, 0); ("coord", coord, 0, 0, 0);
+      ("lost", lost, 0, 0, 1) ]
 
 let test_precedence_never_masks_violation () =
   (* the same provable contradiction — a committed read observing the

@@ -244,7 +244,9 @@ let si = Leopard.Il_profile.postgresql_si
 
 let check_with_ambiguous profile ~ambiguous traces =
   let checker = Checker.create profile in
-  List.iter (fun txn -> Checker.mark_ambiguous_commit checker ~txn) ambiguous;
+  List.iter
+    (fun txn -> Checker.mark checker ~channel:Checker.Ambiguous ~txn)
+    ambiguous;
   List.iter (Checker.feed checker)
     (List.sort Trace.compare_by_bef traces);
   Checker.finalize checker;
@@ -338,7 +340,8 @@ let check_outcome outcome =
   (match outcome.Run.net with
   | Some ns ->
     List.iter
-      (fun (_client, txn, _at) -> Checker.mark_ambiguous_commit checker ~txn)
+      (fun (_client, txn, _at) ->
+        Checker.mark checker ~channel:Checker.Ambiguous ~txn)
       ns.Run.ambiguous
   | None -> ());
   List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
@@ -422,7 +425,8 @@ let test_cross_plane_channels_separate () =
     in
     let checker = Checker.create si in
     List.iter
-      (fun (_client, txn, _at) -> Checker.mark_ambiguous_commit checker ~txn)
+      (fun (_client, txn, _at) ->
+        Checker.mark checker ~channel:Checker.Ambiguous ~txn)
       ambiguous;
     List.iter
       (fun (e : Run.epoch_mark) ->

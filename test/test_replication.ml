@@ -70,14 +70,13 @@ let repl_stats outcome =
   | Some s -> s
   | None -> Alcotest.fail "replicated run must report repl stats"
 
-(* Offline verification exactly as the CLI does it: ambiguity marks
-   first, then the leader marks (note_failover strips lost commits from
-   the resolvable set permanently — lost beats ambiguous), then the
-   traces in timestamp order. *)
+(* Offline verification as the CLI does it: ambiguity and leader
+   marks, then the traces in timestamp order. *)
 let check_outcome outcome =
   let checker = Checker.create si in
   List.iter
-    (fun (_client, txn, _at) -> Checker.mark_ambiguous_commit checker ~txn)
+    (fun (_client, txn, _at) ->
+      Checker.mark checker ~channel:Checker.Ambiguous ~txn)
     outcome.Run.repl_ambiguous;
   List.iter
     (fun (m : Codec.leader_mark) ->
@@ -367,7 +366,9 @@ let test_stale_follower_read_detected () =
 
 let check_with_failover ?(ambiguous = []) ~lost traces =
   let checker = Checker.create si in
-  List.iter (fun txn -> Checker.mark_ambiguous_commit checker ~txn) ambiguous;
+  List.iter
+    (fun txn -> Checker.mark checker ~channel:Checker.Ambiguous ~txn)
+    ambiguous;
   Checker.note_failover checker ~at:50 ~epoch:2 ~lost;
   List.iter (Checker.feed checker) (List.sort Trace.compare_by_bef traces);
   Checker.finalize checker;

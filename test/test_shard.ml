@@ -17,7 +17,7 @@
    - cross-shard dependencies stitch through the single group-wide
      trace file: a violation provable on the global trace is invisible
      to per-shard slices of it;
-   - [Checker.mark_coord_ambiguous]: resolvable like the wire channel,
+   - [Checker.mark ~channel:Coordinator]: resolvable like the wire channel,
      exactly partitioned from it by first-mark precedence, and "lost
      beats ambiguous" still wins. *)
 
@@ -93,13 +93,13 @@ let shard_stats outcome =
   | Some s -> s
   | None -> Alcotest.fail "sharded run must report shard stats"
 
-(* Offline verification exactly as the CLI does it: coordinator
-   ambiguity marks first (the [P ... ?] lines), then the traces in
-   timestamp order. *)
+(* Offline verification as the CLI does it: coordinator ambiguity
+   marks (the [P ... ?] lines), then the traces in timestamp order. *)
 let check_outcome outcome =
   let checker = Checker.create si in
   List.iter
-    (fun (_client, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
+    (fun (_client, txn, _at) ->
+      Checker.mark checker ~channel:Checker.Coordinator ~txn)
     outcome.Run.coord_ambiguous;
   List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
   Checker.finalize checker;
@@ -267,7 +267,8 @@ let test_coord_crash_composes_with_wal_plane () =
           ~damaged:m.Run.damaged)
       outcome.Run.epochs;
     List.iter
-      (fun (_c, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
+      (fun (_c, txn, _at) ->
+        Checker.mark checker ~channel:Checker.Coordinator ~txn)
       outcome.Run.coord_ambiguous;
     List.iter (Checker.feed checker) (Run.all_traces_sorted outcome);
     Checker.finalize checker;
@@ -449,7 +450,8 @@ let test_violation_needs_global_stitching () =
       let checker = Checker.create si in
       Checker.note_lost_traces checker dropped;
       List.iter
-        (fun (_c, txn, _at) -> Checker.mark_coord_ambiguous checker ~txn)
+        (fun (_c, txn, _at) ->
+          Checker.mark checker ~channel:Checker.Coordinator ~txn)
         outcome.Run.coord_ambiguous;
       List.iter (Checker.feed checker) kept;
       Checker.finalize checker;
@@ -459,13 +461,13 @@ let test_violation_needs_global_stitching () =
         0 r.Checker.bugs_total)
     [ 0; 1 ]
 
-(* --- checker-level mark_coord_ambiguous semantics --- *)
+(* --- checker-level coordinator-channel semantics --- *)
 
 let test_coord_ambiguous_resolves () =
   (* a later committed read observing the orphaned commit's write
      proves it committed: the ambiguity resolves and stops degrading *)
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~channel:Checker.Coordinator ~txn:1;
   List.iter (Checker.feed checker)
     [
       Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];
@@ -483,7 +485,7 @@ let test_coord_ambiguous_resolves () =
 
 let test_coord_ambiguous_unresolved_degrades () =
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~channel:Checker.Coordinator ~txn:1;
   List.iter (Checker.feed checker)
     [
       Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];
@@ -515,18 +517,18 @@ let test_channel_partition_is_exact () =
   in
   Alcotest.(check (pair int int))
     "wire first: wire channel owns it" (1, 0)
-    (count ~first:Checker.mark_ambiguous_commit
-       ~second:Checker.mark_coord_ambiguous);
+    (count ~first:(Checker.mark ~channel:Checker.Ambiguous)
+       ~second:(Checker.mark ~channel:Checker.Coordinator));
   Alcotest.(check (pair int int))
     "coordinator first: coordinator channel owns it" (0, 1)
-    (count ~first:Checker.mark_coord_ambiguous
-       ~second:Checker.mark_ambiguous_commit)
+    (count ~first:(Checker.mark ~channel:Checker.Coordinator)
+       ~second:(Checker.mark ~channel:Checker.Ambiguous))
 
 let test_lost_beats_coord_ambiguous () =
   (* txn 1 is both coordinator-ambiguous and in a failover's lost
      suffix: the leader mark wins, the observation never resolves it *)
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~channel:Checker.Coordinator ~txn:1;
   Checker.note_failover checker ~at:50 ~epoch:2 ~lost:[ 1 ];
   List.iter (Checker.feed checker)
     [
@@ -548,7 +550,7 @@ let test_coord_violation_still_reported () =
      write is served to a committed read, yet a second committed read
      later observes the overwritten value — still a violation *)
   let checker = Checker.create si in
-  Checker.mark_coord_ambiguous checker ~txn:1;
+  Checker.mark checker ~channel:Checker.Coordinator ~txn:1;
   List.iter (Checker.feed checker)
     [
       Helpers.write ~txn:1 ~bef:10 ~aft:20 [ (x, 100) ];

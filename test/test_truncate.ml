@@ -14,7 +14,8 @@
    - truncated live state is O(window), not O(history);
    - [Checker.encode]/[decode] round-trip mid-stream: a decoded checker
      fed the remaining stream reproduces the uninterrupted report
-     field-for-field, and refuses foreign profiles/flags;
+     field-for-field (uncertainty marks included), and refuses foreign
+     profiles/flags and retired record kinds;
    - the [Ckpt] container survives the campaign checkpoint's 18-way
      damage ladder: any corruption degrades to an older frame or a
      fresh start with a warning, never to trusting damaged bytes;
@@ -268,6 +269,43 @@ let split_at n l =
   in
   go 0 [] l
 
+(* Feed [traces] (after [marks]) to a checker, cut it [cut] traces in
+   — truncate at the stream position, encode, decode — and continue
+   both the original and the decoded image to the end.  Returns the
+   frame and the resumed report. *)
+let resume_matches name il ?(marks = fun _ -> ()) ~cut traces =
+  let first, rest = split_at cut traces in
+  let a = Leopard.Checker.create il in
+  marks a;
+  List.iter (Leopard.Checker.feed a) first;
+  (match first with
+  | [] -> ()
+  | _ ->
+    let last = List.nth first (cut - 1) in
+    Leopard.Checker.truncate a ~watermark:last.Trace.ts_bef);
+  let lines = Leopard.Checker.encode a in
+  let b =
+    match Leopard.Checker.decode il lines with
+    | Ok b -> b
+    | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
+  in
+  (* the decoded image re-encodes to the same bytes: the snapshot is
+     canonical, so frames are reproducible across kill/resume chains *)
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s: encode is a fixpoint" name)
+    lines
+    (Leopard.Checker.encode b);
+  List.iter (Leopard.Checker.feed a) rest;
+  List.iter (Leopard.Checker.feed b) rest;
+  Leopard.Checker.finalize a;
+  Leopard.Checker.finalize b;
+  let resumed = Leopard.Checker.report b in
+  Alcotest.(check string)
+    (Printf.sprintf "%s: resumed report equals uninterrupted" name)
+    (digest (Leopard.Checker.report a))
+    (digest resumed);
+  (lines, resumed)
+
 let test_encode_decode_roundtrip () =
   for seed = 0 to 9 do
     let p = W.Probes.for_fault Minidb.Fault.Stale_read in
@@ -280,36 +318,42 @@ let test_encode_decode_roundtrip () =
     in
     let il = Option.get (Il.find p.verifier_profile) in
     let traces = H.Run.all_traces_sorted o in
-    let cut = List.length traces / 2 in
-    let first, rest = split_at cut traces in
-    let a = Leopard.Checker.create il in
-    List.iter (Leopard.Checker.feed a) first;
-    (match first with
-    | [] -> ()
-    | _ ->
-      let last = List.nth first (cut - 1) in
-      Leopard.Checker.truncate a ~watermark:last.Trace.ts_bef);
-    let lines = Leopard.Checker.encode a in
-    let b =
-      match Leopard.Checker.decode il lines with
-      | Ok b -> b
-      | Error msg -> Alcotest.fail ("decode failed: " ^ msg)
-    in
-    (* the decoded image re-encodes to the same bytes: the snapshot is
-       canonical, so frames are reproducible across kill/resume chains *)
-    Alcotest.(check (list string))
-      (Printf.sprintf "seed %d: encode is a fixpoint" seed)
-      lines
-      (Leopard.Checker.encode b);
-    List.iter (Leopard.Checker.feed a) rest;
-    List.iter (Leopard.Checker.feed b) rest;
-    Leopard.Checker.finalize a;
-    Leopard.Checker.finalize b;
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d: resumed report equals uninterrupted" seed)
-      (digest (Leopard.Checker.report a))
-      (digest (Leopard.Checker.report b))
-  done
+    ignore
+      (resume_matches (Printf.sprintf "seed %d" seed) il
+         ~cut:(List.length traces / 2) traces)
+  done;
+  (* one transaction on each uncertainty channel, cut after the marks
+     and before the committed read that resolves the ambiguous one *)
+  let marks c =
+    List.iter
+      (fun (channel, txn) -> Leopard.Checker.mark c ~channel ~txn)
+      Leopard.Checker.
+        [ (Crashed, 1); (Ambiguous, 2); (Coordinator, 3); (Lost, 4) ]
+  in
+  let traces =
+    Helpers.
+      [
+        write ~txn:1 ~bef:10 ~aft:20 [ (cell 1, 100) ];
+        write ~txn:2 ~bef:11 ~aft:21 [ (cell 2, 200) ];
+        write ~txn:3 ~bef:12 ~aft:22 [ (cell 3, 300) ];
+        write ~txn:4 ~bef:13 ~aft:23 [ (cell 4, 400) ];
+        commit ~txn:4 ~bef:30 ~aft:40 ();
+        read ~txn:5 ~bef:100 ~aft:110 [ (cell 2, 200); (cell 4, 400) ];
+        commit ~txn:5 ~bef:120 ~aft:130 ();
+        read ~txn:6 ~bef:200 ~aft:210 [ (cell 1, 0); (cell 3, 0) ];
+        commit ~txn:6 ~bef:220 ~aft:230 ();
+      ]
+  in
+  let lines, resumed = resume_matches "marked" il_sr ~marks ~cut:5 traces in
+  Alcotest.(check int) "marked: the frame carries every mark" 4
+    (List.length (List.filter (String.starts_with ~prefix:"mk\t") lines));
+  Alcotest.(check int) "marked: the committed read resolves txn 2" 1
+    resumed.Leopard.Checker.resolved_ambiguous;
+  (* a frame from before the per-transaction mark record: the retired
+     id-set record must fail the decode, so a resume starts afresh *)
+  match Leopard.Checker.decode il_sr (lines @ [ "id\tambiguous\t2" ]) with
+  | Ok _ -> Alcotest.fail "decode accepted a retired id-set record"
+  | Error _ -> ()
 
 let test_decode_rejects_foreign () =
   let o = H.Run.execute (online_config ~seed:1 ~txns:200 ()) in
