@@ -54,9 +54,10 @@ let finish ~show_bugs (report : Leopard.Checker.report) =
    traces the checker is truncated at the stream watermark (the sorted
    file's own order is the watermark proof), and — when [checkpoint]
    names a file — a full snapshot frame plus the trace cursor is
-   persisted.  [resume] restores the newest valid frame and continues
-   from its cursor; any damage to the checkpoint degrades to a fresh
-   full pass with a warning, never to a different verdict.
+   persisted.  [resume] restores the last complete frame before any
+   damage and continues from its cursor; any damage to the checkpoint
+   degrades to a fresh full pass with a warning, never to a different
+   verdict.
    [kill_after] is the crash drill: SIGKILL (no cleanup) right after
    trace N, so CI can prove kill + resume reproduces the uninterrupted
    verdict byte-for-byte. *)
@@ -996,10 +997,10 @@ let resume_check =
     & info [ "resume-check" ]
         ~doc:
           "With --check and --check-checkpoint: restore the checker from \
-           the newest valid snapshot frame and continue from its trace \
-           cursor.  A missing, foreign or damaged checkpoint degrades to \
-           a fresh full pass with a warning — the verdict is the same \
-           either way.")
+           the last complete snapshot frame before any damage and \
+           continue from its trace cursor.  A missing, foreign or \
+           damaged checkpoint degrades to a fresh full pass with a \
+           warning — the verdict is the same either way.")
 
 let check_kill_after =
   Arg.(

@@ -14,14 +14,15 @@
      mismatch: ignore the whole file with a one-line warning (it
      belongs to some other grid or some other era);
    - a corrupt record line (bad field count, bad number, checksum
-     mismatch, out-of-range or duplicate index, failed unescape):
+     mismatch, out-of-range or duplicate index, undecodable fields):
      keep the valid prefix, drop the line and everything after it, warn
      once.  A torn tail from a killed process loses at most the cell
      being written; the cells it names are simply re-run.
 
-   Record fields are individually String.escaped (so no raw tabs or
-   newlines survive) and tab-joined behind a per-record FNV-1a checksum
-   of the payload.  Floats round-trip through Int64.bits_of_float so a
+   A record is one [outcome] row (declared below with
+   Leopard_trace.Field): tab-separated fields, free text String.escaped
+   (so no raw tabs or newlines survive), behind a per-record FNV-1a
+   checksum of the payload.  Floats round-trip through their bits so a
    resumed campaign reproduces its results DB byte-for-byte. *)
 
 let magic = "leopard-campaign-checkpoint"
@@ -31,95 +32,79 @@ let checksum = Leopard_trace.Ckpt.checksum
 
 (* {2 Encoding} *)
 
-let fbits f = Int64.to_string (Int64.bits_of_float f)
+module F = Leopard_trace.Field
 
-let encode_outcome (o : Runner.outcome) =
-  match o with
-  | Runner.Completed c ->
-    let vtag, varg =
-      match c.Runner.verdict with
-      | Leopard.Checker.Verified -> ("V", "")
-      | Leopard.Checker.Violation -> ("B", "")
-      | Leopard.Checker.Inconclusive why -> ("I", why)
-    in
-    let d = c.Runner.deg in
-    [
-      "C"; vtag; varg; c.Runner.degradation_line;
-      string_of_int c.Runner.bugs;
-      string_of_int c.Runner.commits;
-      string_of_int c.Runner.aborts;
-      string_of_int d.Runner.restarts;
-      string_of_int d.Runner.recovery_lost;
-      string_of_int d.Runner.ambiguous;
-      string_of_int d.Runner.lost_suffix;
-      string_of_int d.Runner.failovers;
-      string_of_int d.Runner.coord_ambiguous;
-      string_of_int d.Runner.crashed_clients;
-      string_of_int d.Runner.indeterminate;
-      fbits c.Runner.p50_ns;
-      fbits c.Runner.p99_ns;
-      string_of_int c.Runner.sim_ns;
-    ]
-  | Runner.Crashed { exn_text; backtrace } -> [ "X"; exn_text; backtrace ]
-  | Runner.Timeout { budget } -> [ "T"; string_of_int budget ]
+let degradation =
+  F.(
+    record (fun restarts recovery_lost ambiguous lost_suffix failovers
+                coord_ambiguous crashed_clients indeterminate ->
+        { Runner.restarts; recovery_lost; ambiguous; lost_suffix; failovers;
+          coord_ambiguous; crashed_clients; indeterminate })
+    |> field int (fun d -> d.Runner.restarts)
+    |> field int (fun d -> d.Runner.recovery_lost)
+    |> field int (fun d -> d.Runner.ambiguous)
+    |> field int (fun d -> d.Runner.lost_suffix)
+    |> field int (fun d -> d.Runner.failovers)
+    |> field int (fun d -> d.Runner.coord_ambiguous)
+    |> field int (fun d -> d.Runner.crashed_clients)
+    |> field int (fun d -> d.Runner.indeterminate)
+    |> seal '\t')
 
-let decode_outcome fields =
-  let int s = int_of_string_opt s in
-  let float_bits s =
-    Option.map Int64.float_of_bits (Int64.of_string_opt s)
+(* [Verified] and [Violation] carry an empty argument field *)
+let verdict =
+  let open Leopard.Checker in
+  F.(
+    union '\t'
+      [
+        case "V" escaped
+          (function Verified -> Some "" | Violation | Inconclusive _ -> None)
+          (fun _ -> Verified);
+        case "B" escaped
+          (function Violation -> Some "" | Verified | Inconclusive _ -> None)
+          (fun _ -> Violation);
+        case "I" escaped
+          (function Inconclusive why -> Some why | Verified | Violation -> None)
+          (fun why -> Inconclusive why);
+      ])
+
+let outcome =
+  let completed =
+    F.(
+      record (fun verdict degradation_line bugs commits aborts deg p50_ns
+                  p99_ns sim_ns ->
+          { Runner.verdict; degradation_line; bugs; commits; aborts; deg;
+            p50_ns; p99_ns; sim_ns })
+      |> field verdict (fun c -> c.Runner.verdict)
+      |> field escaped (fun c -> c.Runner.degradation_line)
+      |> field int (fun c -> c.Runner.bugs)
+      |> field int (fun c -> c.Runner.commits)
+      |> field int (fun c -> c.Runner.aborts)
+      |> field degradation (fun c -> c.Runner.deg)
+      |> field float_bits (fun c -> c.Runner.p50_ns)
+      |> field float_bits (fun c -> c.Runner.p99_ns)
+      |> field int (fun c -> c.Runner.sim_ns)
+      |> seal '\t')
   in
-  match fields with
-  | [
-   "C"; vtag; varg; degradation_line; bugs; commits; aborts; restarts;
-   recovery_lost; ambiguous; lost_suffix; failovers; coord_ambiguous;
-   crashed_clients; indeterminate; p50; p99; sim_ns;
-  ] -> (
-    let verdict =
-      match vtag with
-      | "V" -> Some Leopard.Checker.Verified
-      | "B" -> Some Leopard.Checker.Violation
-      | "I" -> Some (Leopard.Checker.Inconclusive varg)
-      | _ -> None
-    in
-    match
-      ( verdict, int bugs, int commits, int aborts, int restarts,
-        int recovery_lost, int ambiguous, int lost_suffix, int failovers,
-        int coord_ambiguous, int crashed_clients, int indeterminate,
-        float_bits p50, float_bits p99, int sim_ns )
-    with
-    | ( Some verdict, Some bugs, Some commits, Some aborts, Some restarts,
-        Some recovery_lost, Some ambiguous, Some lost_suffix,
-        Some failovers, Some coord_ambiguous, Some crashed_clients,
-        Some indeterminate, Some p50_ns, Some p99_ns, Some sim_ns ) ->
-      Some
-        (Runner.Completed
-           {
-             Runner.verdict;
-             degradation_line;
-             bugs;
-             commits;
-             aborts;
-             deg =
-               {
-                 Runner.restarts;
-                 recovery_lost;
-                 ambiguous;
-                 lost_suffix;
-                 failovers;
-                 coord_ambiguous;
-                 crashed_clients;
-                 indeterminate;
-               };
-             p50_ns;
-             p99_ns;
-             sim_ns;
-           })
-    | _ -> None)
-  | [ "X"; exn_text; backtrace ] ->
-    Some (Runner.Crashed { exn_text; backtrace })
-  | [ "T"; budget ] ->
-    Option.map (fun budget -> Runner.Timeout { budget }) (int budget)
-  | _ -> None
+  F.(
+    union '\t'
+      [
+        case "C" completed
+          (function
+            | Runner.Completed c -> Some c
+            | Runner.Crashed _ | Runner.Timeout _ -> None)
+          (fun c -> Runner.Completed c);
+        case "X" (pair '\t' escaped escaped)
+          (function
+            | Runner.Crashed { exn_text; backtrace } ->
+              Some (exn_text, backtrace)
+            | Runner.Completed _ | Runner.Timeout _ -> None)
+          (fun (exn_text, backtrace) -> Runner.Crashed { exn_text; backtrace });
+        case "T" int
+          (function
+            | Runner.Timeout { budget } -> Some budget
+            | Runner.Completed _ | Runner.Crashed _ -> None)
+          (fun budget -> Runner.Timeout { budget });
+      ])
 
 (* {2 Writing} *)
 
@@ -127,46 +112,38 @@ let write_header oc ~fingerprint ~cells =
   Printf.fprintf oc "%s %s %s %d\n" magic version fingerprint cells;
   flush oc
 
-let append oc ~index (outcome : Runner.outcome) =
-  let payload =
-    String.concat "\t" (List.map String.escaped (encode_outcome outcome))
-  in
-  Printf.fprintf oc "c\t%d\t%s\t%s\n" index (checksum payload) payload;
+(* "c", the cell index, the checksum of the payload, the payload *)
+let record = F.(pair '\t' word (triple '\t' int word rest))
+
+let append oc ~index (o : Runner.outcome) =
+  let b = Buffer.create 256 in
+  F.write outcome b o;
+  let payload = Buffer.contents b in
+  Buffer.clear b;
+  F.write record b ("c", (index, checksum payload, payload));
+  Buffer.add_char b '\n';
+  Buffer.output_buffer oc b;
   flush oc
 
 (* {2 Loading} *)
 
 let parse_record ~cells ~seen line =
-  match String.split_on_char '\t' line with
-  | "c" :: index :: sum :: fields when fields <> [] -> (
-    let payload = String.concat "\t" fields in
-    match int_of_string_opt index with
-    | None -> Error "unparseable cell index"
-    | Some i when i < 0 || i >= cells ->
-      Error (Printf.sprintf "cell index %d outside grid of %d" i cells)
-    | Some i when seen.(i) -> Error (Printf.sprintf "duplicate cell %d" i)
-    | Some i ->
-      if not (String.equal sum (checksum payload)) then
-        Error (Printf.sprintf "checksum mismatch on cell %d" i)
-      else
-        let unescaped =
-          List.map
-            (fun f ->
-              match Scanf.unescaped f with
-              | s -> Some s
-              | exception Scanf.Scan_failure _ -> None)
-            fields
-        in
-        if List.exists Option.is_none unescaped then
-          Error (Printf.sprintf "unescapable field on cell %d" i)
-        else begin
-          match decode_outcome (List.filter_map Fun.id unescaped) with
-          | Some outcome ->
-            seen.(i) <- true;
-            Ok (i, outcome)
-          | None -> Error (Printf.sprintf "undecodable record for cell %d" i)
-        end)
-  | _ -> Error "unparseable record line"
+  match F.read record line with
+  | exception Failure _ -> Error "unparseable record line"
+  | tag, _ when not (String.equal tag "c") -> Error "unparseable record line"
+  | _, (i, _, _) when i < 0 || i >= cells ->
+    Error (Printf.sprintf "cell index %d outside grid of %d" i cells)
+  | _, (i, _, _) when seen.(i) -> Error (Printf.sprintf "duplicate cell %d" i)
+  | _, (i, sum, payload) -> (
+    if not (String.equal sum (checksum payload)) then
+      Error (Printf.sprintf "checksum mismatch on cell %d" i)
+    else
+      match F.read outcome payload with
+      | outcome ->
+        seen.(i) <- true;
+        Ok (i, outcome)
+      | exception Failure _ ->
+        Error (Printf.sprintf "undecodable record for cell %d" i))
 
 let load ~path ~fingerprint ~cells =
   match open_in path with

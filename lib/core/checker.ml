@@ -235,22 +235,25 @@ let resolvable t id =
   | Some (Ambiguous | Coordinator) -> true
   | Some (Resolved | Lost) | None -> false
 
+let new_vtxn vid vstatus first_iv terminal_iv =
+  {
+    vid;
+    first_iv;
+    terminal_iv;
+    vstatus;
+    writes = Cell.Tbl.create 8;
+    write_cells = [];
+    pending_deps = [];
+  }
+
 let vtxn t id =
   match Hashtbl.find_opt t.txns id with
   | Some v -> v
   | None ->
-    let v =
-      {
-        vid = id;
-        first_iv = None;
-        terminal_iv = None;
-        vstatus =
-          (if unsettled (uncertainty t id) then Indeterminate else Active);
-        writes = Cell.Tbl.create 8;
-        write_cells = [];
-        pending_deps = [];
-      }
+    let status =
+      if unsettled (uncertainty t id) then Indeterminate else Active
     in
+    let v = new_vtxn id status None None in
     Hashtbl.replace t.txns id v;
     v
 
@@ -273,6 +276,10 @@ let live_size t =
   + Leopard_util.Min_heap.length t.deferred
   + Hashtbl.length t.txns
   + Dep.Log.count t.log
+
+let sample_peak t =
+  let live = live_size t in
+  if live > t.peak_live then t.peak_live <- live
 
 (* ------------------------------------------------------------------ *)
 (* Dependency plumbing: log every deduction; forward to the certifier
@@ -1096,14 +1103,15 @@ and feed_fresh t trace =
     ()
   | Trace.Commit -> handle_commit t v trace
   | Trace.Abort -> handle_abort t v trace);
-  let live = live_size t in
-  if live > t.peak_live then t.peak_live <- live;
+  sample_peak t;
   if t.gc_every > 0 && t.traces mod t.gc_every = 0 then run_gc t
 
 let feed_all t traces = List.iter (feed t) traces
 
 let finalize t =
   flush_deferred t ~upto:max_int;
+  (* the flush can grow live state past the last per-trace sample *)
+  sample_peak t;
   t.frontier <- max_int;
   (* read items still parked on an ambiguous writer: their reader never
      terminated, so the writer stays unresolved and the items are
@@ -1266,586 +1274,322 @@ let verdict (r : report) =
   else Inconclusive (degradation_reason r.degradation)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint codec: serialize the full live state (compact after
-   [truncate]) as tagged, tab-separated lines, deterministically — every
-   hashtable is dumped in a sorted order, every semantically ordered
-   list (chain order, lock-entry order, pending deps, deferred heap,
-   reader lists) keeps its exact order, so a decoded checker replays the
-   remaining stream byte-identically to an uninterrupted run.  The
-   surrounding container (framing, checksums, fingerprint) is
-   [Leopard_trace.Ckpt]'s job; here a malformed line is simply an
-   [Error]. *)
+(* Checkpoint codec: the full live state (compact after [truncate]) as
+   tagged, tab-separated lines, deterministically — every hashtable is
+   dumped in a sorted order, every semantically ordered list (chain
+   order, lock-entry order, pending deps, deferred heap, reader lists)
+   keeps its exact order, so a decoded checker replays the remaining
+   stream byte-identically to an uninterrupted run.  Each line kind is
+   declared once below: its tag, its [Field] layout and how its rows
+   fill a fresh checker.  [encode] writes rows through those layouts;
+   [decode] loads them in [kinds] order.  The surrounding container
+   (framing, checksums, fingerprint) is [Leopard_trace.Ckpt]'s job; here
+   a malformed line is simply an [Error]. *)
 
-let status_code = function
-  | Active -> "active"
-  | Committed -> "committed"
-  | Aborted -> "aborted"
-  | Indeterminate -> "indeterminate"
+module F = Leopard_trace.Field
 
-let status_of_code = function
-  | "active" -> Active
-  | "committed" -> Committed
-  | "aborted" -> Aborted
-  | "indeterminate" -> Indeterminate
-  | s -> failwith ("Checker: unknown status " ^ s)
+type 'a kind = { tag : string; row : 'a F.t; load : t -> 'a list -> unit }
+type any_kind = Any : 'a kind -> any_kind
 
-let fate_code = function
-  | None -> "-"
-  | Some Ambiguous -> "ambiguous"
-  | Some Coordinator -> "coordinator"
-  | Some Resolved -> "resolved"
-  | Some Lost -> "lost"
+(* The [s] line: 24 counters, each written by its getter and restored
+   by its setter. *)
+let counters =
+  [
+    ((fun t -> t.frontier), fun t n -> t.frontier <- n);
+    ((fun t -> t.dedup_ts), fun t n -> t.dedup_ts <- n);
+    ((fun t -> t.traces), fun t n -> t.traces <- n);
+    ((fun t -> t.committed), fun t n -> t.committed <- n);
+    ((fun t -> t.aborted), fun t n -> t.aborted <- n);
+    ((fun t -> t.bugs_total), fun t n -> t.bugs_total <- n);
+    ((fun t -> t.reads_checked), fun t n -> t.reads_checked <- n);
+    ((fun t -> t.peak_live), fun t n -> t.peak_live <- n);
+    ((fun t -> t.pruned_versions), fun t n -> t.pruned_versions <- n);
+    ((fun t -> t.pruned_locks), fun t n -> t.pruned_locks <- n);
+    ((fun t -> t.pruned_fuw), fun t n -> t.pruned_fuw <- n);
+    ((fun t -> t.pruned_graph), fun t n -> t.pruned_graph <- n);
+    ((fun t -> t.dup_dropped), fun t n -> t.dup_dropped <- n);
+    ((fun t -> t.inconclusive_reads), fun t n -> t.inconclusive_reads <- n);
+    ((fun t -> t.ext_crashed_clients), fun t n -> t.ext_crashed_clients <- n);
+    ((fun t -> t.ext_late_dropped), fun t n -> t.ext_late_dropped <- n);
+    ((fun t -> t.ext_lost), fun t n -> t.ext_lost <- n);
+    ((fun t -> t.ext_restarts), fun t n -> t.ext_restarts <- n);
+    ((fun t -> t.ext_recovery_lost), fun t n -> t.ext_recovery_lost <- n);
+    ((fun t -> t.ext_failovers), fun t n -> t.ext_failovers <- n);
+    ((fun t -> t.ext_lost_commits), fun t n -> t.ext_lost_commits <- n);
+    ((fun t -> Bool.to_int t.finalized), fun t n -> t.finalized <- n <> 0);
+    ((fun t -> t.truncations), fun t n -> t.truncations <- n);
+    ((fun t -> t.truncated_deps), fun t n -> t.truncated_deps <- n);
+  ]
 
-let fate_of_code = function
-  | "-" -> None
-  | "ambiguous" -> Some Ambiguous
-  | "coordinator" -> Some Coordinator
-  | "resolved" -> Some Resolved
-  | "lost" -> Some Lost
-  | s -> failwith ("Checker: unknown fate " ^ s)
+let kind tag row load = { tag; row; load }
+let each f t = List.iter (f t)
 
-let mechanism_of_string = function
-  | "CR" -> Bug.Cr
-  | "ME" -> Bug.Me
-  | "FUW" -> Bug.Fuw
-  | "SC" -> Bug.Sc
-  | s -> failwith ("Checker: unknown mechanism " ^ s)
+let fill table =
+  List.iter (fun (cell, l) -> Cell.Tbl.replace table cell (ref l))
 
-let anomaly_of_string s =
-  match List.find_opt (fun a -> String.equal (Anomaly.to_string a) s) Anomaly.all with
-  | Some a -> a
-  | None -> failwith ("Checker: unknown anomaly " ^ s)
+let one what = function
+  | [ row ] -> row
+  | _ -> failwith ("Checker.decode: expected one " ^ what ^ " record")
 
-let iv_fields iv =
-  Printf.sprintf "%d\t%d" (Interval.bef iv) (Interval.aft iv)
+let find_txn t vid =
+  match Hashtbl.find_opt t.txns vid with
+  | Some v -> v
+  | None -> failwith "Checker.decode: record references unknown transaction"
 
-let opt_iv_fields = function Some iv -> iv_fields iv | None -> "-\t-"
+let iv = F.interval '\t'
+let opt_iv = F.option ~none:"-\t-" iv
+let mechanism = F.enum Bug.mechanism_to_string Bug.[ Cr; Me; Fuw; Sc ]
 
-let parse_iv b a = Interval.make ~bef:(int_of_string b) ~aft:(int_of_string a)
+let header =
+  kind "h" F.(pair '\t' word (triple '\t' int bool bool)) (fun t rows ->
+      let name, flags = one "header" rows in
+      if not (String.equal name t.profile.Il_profile.name) then
+        failwith
+          (Printf.sprintf
+             "Checker.decode: checkpoint was written for profile %s, not %s"
+             name t.profile.Il_profile.name);
+      if flags <> (t.gc_every, t.narrow_candidates, t.relaxed_reads) then
+        failwith
+          "Checker.decode: checkpoint was written under different checker \
+           flags")
 
-let parse_opt_iv b a =
-  match (b, a) with "-", "-" -> None | b, a -> Some (parse_iv b a)
+let scalars =
+  kind "s" F.(list '\t' int) (fun t rows ->
+      let values = one "scalar" rows in
+      if List.compare_lengths values counters <> 0 then
+        failwith "Checker.decode: malformed scalar record";
+      List.iter2 (fun (_, set) n -> set t n) counters values)
+
+let forgotten =
+  kind "fs" F.(list '\t' int) (fun t rows ->
+      let tallies = one "truncation-tally" rows in
+      if List.length tallies <> Array.length t.forgotten_by_source then
+        failwith "Checker.decode: malformed truncation-tally record";
+      List.iteri (fun i n -> t.forgotten_by_source.(i) <- n) tallies)
+
+let mech_counts =
+  kind "mc" F.(pair '\t' mechanism int)
+    (each (fun t (m, n) -> Hashtbl.replace t.mech_counts m n))
+
+let bugs =
+  kind "b"
+    F.(
+      record (fun mechanism anomaly txns cell row detail ->
+          { Bug.mechanism; anomaly; txns; cell; row; detail })
+      |> field mechanism (fun b -> b.Bug.mechanism)
+      |> field (option (enum Anomaly.to_string Anomaly.all)) (fun b ->
+             b.Bug.anomaly)
+      |> field (list ',' int) (fun b -> b.Bug.txns)
+      |> field (option (cell ',')) (fun b -> b.Bug.cell)
+      |> field (option (pair ',' int int)) (fun b -> b.Bug.row)
+      |> field escaped (fun b -> b.Bug.detail)
+      |> seal '\t')
+    (fun t rows -> t.bugs <- List.rev rows)
+
+let txns =
+  let status = function
+    | Active -> "active"
+    | Committed -> "committed"
+    | Aborted -> "aborted"
+    | Indeterminate -> "indeterminate"
+  in
+  kind "x"
+    F.(
+      record new_vtxn
+      |> field int (fun v -> v.vid)
+      |> field
+           (enum status [ Active; Committed; Aborted; Indeterminate ])
+           (fun v -> v.vstatus)
+      |> field opt_iv (fun v -> v.first_iv)
+      |> field opt_iv (fun v -> v.terminal_iv)
+      |> seal '\t')
+    (each (fun t v -> Hashtbl.replace t.txns v.vid v))
+
+(* a transaction's writes, in first-write order *)
+let writes =
+  kind "xw" F.(pair '\t' int (triple '\t' (cell '\t') int iv))
+    (each (fun t (vid, (cell, value, iv)) ->
+         let v = find_txn t vid in
+         if not (Cell.Tbl.mem v.writes cell) then
+           v.write_cells <- cell :: v.write_cells;
+         Cell.Tbl.replace v.writes cell (value, iv)))
+
+let pending =
+  kind "xd" (F.pair '\t' F.int Dep.field) (fun t rows ->
+      List.iter
+        (fun (vid, d) ->
+          let v = find_txn t vid in
+          v.pending_deps <- d :: v.pending_deps)
+        (List.rev rows))
+
+let deferred =
+  kind "df"
+    F.(
+      record (fun reader read_iv snapshot_iv items ->
+          { reader; read_iv; snapshot_iv; items })
+      |> field int (fun p -> p.reader)
+      |> field iv (fun p -> p.read_iv)
+      |> field iv (fun p -> p.snapshot_iv)
+      |> field (list ';' (pair ',' (cell ',') int)) (fun p -> p.items)
+      |> seal '\t')
+    (fun t -> List.iter (Leopard_util.Min_heap.push t.deferred))
+
+let initial_readers =
+  kind "ir" F.(pair '\t' (cell '\t') (list ',' int)) (fun t ->
+      fill t.initial_readers)
+
+let aborted_values =
+  kind "av" F.(pair '\t' (cell '\t') (list ';' (triple ',' int int int)))
+    (fun t -> fill t.aborted_values)
+
+let indeterminate_values =
+  kind "nv" F.(pair '\t' (cell '\t') (list ';' (pair ',' int int))) (fun t ->
+      fill t.indeterminate_values)
+
+let marks =
+  let fate = function
+    | Ambiguous -> "ambiguous"
+    | Coordinator -> "coordinator"
+    | Resolved -> "resolved"
+    | Lost -> "lost"
+  in
+  kind "mk"
+    F.(
+      pair '\t' int
+        (record (fun crashed fate -> { crashed; fate })
+        |> field bool (fun u -> u.crashed)
+        |> field
+             (option (enum fate [ Ambiguous; Coordinator; Resolved; Lost ]))
+             (fun u -> u.fate)
+        |> seal '\t'))
+    (each (fun t (id, u) -> Hashtbl.replace t.marks id u))
+
+let awaiting =
+  kind "aw"
+    F.(
+      pair '\t' int
+        (list ';'
+           (record (fun a_cell a_value a_writer a_read_iv a_snapshot_iv ->
+                { a_cell; a_value; a_writer; a_read_iv; a_snapshot_iv })
+           |> field (cell ',') (fun e -> e.a_cell)
+           |> field int (fun e -> e.a_value)
+           |> field int (fun e -> e.a_writer)
+           |> field (interval ',') (fun e -> e.a_read_iv)
+           |> field (interval ',') (fun e -> e.a_snapshot_iv)
+           |> seal ',')))
+    (each (fun t (reader, entries) ->
+         Hashtbl.replace t.awaiting reader (ref entries)))
+
+(* a delivered trace, as its [Codec] line *)
+let dedup =
+  kind "du" F.rest
+    (each (fun t line ->
+         match Leopard_trace.Codec.of_line line with
+         | Ok (Some tr) ->
+           Hashtbl.replace t.dedup_seen
+             (tr.Trace.client, tr.Trace.txn, tr.Trace.ts_bef)
+             tr
+         | Ok None -> failwith "Checker.decode: dedup record is a marker line"
+         | Error e -> failwith ("Checker.decode: " ^ e)))
+
+let versions =
+  kind "vo" Version_order.row (fun t -> Version_order.restore t.versions)
+
+let locks = kind "me" Me_verifier.row (fun t -> Me_verifier.restore t.me)
+let updaters = kind "fw" Fuw_verifier.row (fun t -> Fuw_verifier.restore t.fuw)
+let graph = kind "sc" Sc_verifier.row (fun t -> Sc_verifier.restore t.sc)
+let log = kind "dl" Dep.field (each (fun t d -> ignore (Dep.Log.add t.log d)))
+
+(* in load order: a transaction before its writes and pending deps *)
+let kinds =
+  [
+    Any header; Any scalars; Any forgotten; Any mech_counts; Any bugs;
+    Any txns; Any writes; Any pending; Any deferred; Any initial_readers;
+    Any aborted_values; Any indeterminate_values; Any marks; Any awaiting;
+    Any dedup; Any versions; Any locks; Any updaters; Any graph; Any log;
+  ]
 
 let encode t =
-  let buf = ref [] in
-  let line s = buf := s :: !buf in
-  line
-    (Printf.sprintf "h\t%s\t%d\t%b\t%b" t.profile.Il_profile.name t.gc_every
-       t.narrow_candidates t.relaxed_reads);
-  line
-    (String.concat "\t"
-       ("s"
-       :: List.map string_of_int
-            [
-              t.frontier; t.dedup_ts; t.traces; t.committed; t.aborted;
-              t.bugs_total; t.reads_checked; t.peak_live; t.pruned_versions;
-              t.pruned_locks; t.pruned_fuw; t.pruned_graph; t.dup_dropped;
-              t.inconclusive_reads; t.ext_crashed_clients; t.ext_late_dropped;
-              t.ext_lost; t.ext_restarts; t.ext_recovery_lost; t.ext_failovers;
-              t.ext_lost_commits;
-              (if t.finalized then 1 else 0);
-              t.truncations; t.truncated_deps;
-            ]));
-  line
-    ("fs\t"
-    ^ String.concat "\t"
-        (List.map string_of_int (Array.to_list t.forgotten_by_source)));
+  let b = Buffer.create 256 and lines = ref [] in
+  let emit k row =
+    Buffer.add_string b k.tag;
+    Buffer.add_char b '\t';
+    F.write k.row b row;
+    lines := Buffer.contents b :: !lines;
+    Buffer.clear b
+  in
+  let by_key (a, _) (b, _) = Int.compare a b in
+  let per_cell k table =
+    Cell.Tbl.fold (fun cell l acc -> (cell, !l) :: acc) table []
+    |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
+    |> List.iter (emit k)
+  in
+  emit header
+    ( t.profile.Il_profile.name,
+      (t.gc_every, t.narrow_candidates, t.relaxed_reads) );
+  emit scalars (List.map (fun (get, _) -> get t) counters);
+  emit forgotten (Array.to_list t.forgotten_by_source);
   Hashtbl.fold (fun m n acc -> (m, n) :: acc) t.mech_counts []
   |> List.sort (fun (a, _) (b, _) -> Bug.compare_mechanism a b)
-  |> List.iter (fun (m, n) ->
-         line (Printf.sprintf "mc\t%s\t%d" (Bug.mechanism_to_string m) n));
-  List.iter
-    (fun (b : Bug.t) ->
-      line
-        (Printf.sprintf "b\t%s\t%s\t%s\t%s\t%s\t%s"
-           (Bug.mechanism_to_string b.mechanism)
-           (match b.anomaly with Some a -> Anomaly.to_string a | None -> "-")
-           (String.concat "," (List.map string_of_int b.txns))
-           (match b.cell with
-           | Some (c : Cell.t) ->
-             Printf.sprintf "%d,%d,%d" c.Cell.table c.Cell.row c.Cell.col
-           | None -> "-")
-           (match b.row with
-           | Some (tb, r) -> Printf.sprintf "%d,%d" tb r
-           | None -> "-")
-           (String.escaped b.detail)))
-    (List.rev t.bugs);
+  |> List.iter (emit mech_counts);
+  List.iter (emit bugs) (List.rev t.bugs);
   Hashtbl.fold (fun _ v acc -> v :: acc) t.txns []
   |> List.sort (fun a b -> Int.compare a.vid b.vid)
   |> List.iter (fun v ->
-         line
-           (Printf.sprintf "x\t%d\t%s\t%s\t%s" v.vid (status_code v.vstatus)
-              (opt_iv_fields v.first_iv)
-              (opt_iv_fields v.terminal_iv));
+         emit txns v;
          List.iter
-           (fun (cell : Cell.t) ->
+           (fun cell ->
              match Cell.Tbl.find_opt v.writes cell with
-             | Some (value, iv) ->
-               line
-                 (Printf.sprintf "xw\t%d\t%d\t%d\t%d\t%d\t%s" v.vid
-                    cell.Cell.table cell.Cell.row cell.Cell.col value
-                    (iv_fields iv))
+             | Some (value, iv) -> emit writes (v.vid, (cell, value, iv))
              | None -> ())
            (List.rev v.write_cells);
-         List.iter
-           (fun (d : Dep.t) ->
-             line
-               (Printf.sprintf "xd\t%d\t%s\t%d\t%d\t%s" v.vid
-                  (Dep.kind_to_string d.kind)
-                  d.from_txn d.to_txn
-                  (Dep.source_to_string d.source)))
-           v.pending_deps);
-  List.iter
-    (fun pr ->
-      line
-        (Printf.sprintf "df\t%d\t%s\t%s\t%s" pr.reader (iv_fields pr.read_iv)
-           (iv_fields pr.snapshot_iv)
-           (String.concat ";"
-              (List.map
-                 (fun ((c : Cell.t), v) ->
-                   Printf.sprintf "%d,%d,%d,%d" c.Cell.table c.Cell.row
-                     c.Cell.col v)
-                 pr.items))))
-    (Leopard_util.Min_heap.to_sorted_list t.deferred);
-  Cell.Tbl.fold (fun cell r acc -> (cell, !r) :: acc) t.initial_readers []
-  |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.iter (fun ((c : Cell.t), readers) ->
-         line
-           (Printf.sprintf "ir\t%d\t%d\t%d\t%s" c.Cell.table c.Cell.row
-              c.Cell.col
-              (String.concat "," (List.map string_of_int readers))));
-  Cell.Tbl.fold (fun cell r acc -> (cell, !r) :: acc) t.aborted_values []
-  |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.iter (fun ((c : Cell.t), entries) ->
-         line
-           (Printf.sprintf "av\t%d\t%d\t%d\t%s" c.Cell.table c.Cell.row
-              c.Cell.col
-              (String.concat ";"
-                 (List.map
-                    (fun (value, txn, aft) ->
-                      Printf.sprintf "%d,%d,%d" value txn aft)
-                    entries))));
-  Cell.Tbl.fold (fun cell r acc -> (cell, !r) :: acc) t.indeterminate_values []
-  |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.iter (fun ((c : Cell.t), entries) ->
-         line
-           (Printf.sprintf "nv\t%d\t%d\t%d\t%s" c.Cell.table c.Cell.row
-              c.Cell.col
-              (String.concat ";"
-                 (List.map
-                    (fun (value, txn) -> Printf.sprintf "%d,%d" value txn)
-                    entries))));
+         List.iter (fun d -> emit pending (v.vid, d)) v.pending_deps);
+  List.iter (emit deferred) (Leopard_util.Min_heap.to_sorted_list t.deferred);
+  per_cell initial_readers t.initial_readers;
+  per_cell aborted_values t.aborted_values;
+  per_cell indeterminate_values t.indeterminate_values;
   Hashtbl.fold (fun id u acc -> (id, u) :: acc) t.marks []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (id, u) ->
-         line
-           (Printf.sprintf "mk\t%d\t%b\t%s" id u.crashed (fate_code u.fate)));
-  Hashtbl.fold (fun reader entries acc -> (reader, !entries) :: acc) t.awaiting []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (reader, entries) ->
-         line
-           (Printf.sprintf "aw\t%d\t%s" reader
-              (String.concat ";"
-                 (List.map
-                    (fun e ->
-                      Printf.sprintf "%d,%d,%d,%d,%d,%d,%d,%d,%d"
-                        e.a_cell.Cell.table e.a_cell.Cell.row e.a_cell.Cell.col
-                        e.a_value e.a_writer (Interval.bef e.a_read_iv)
-                        (Interval.aft e.a_read_iv)
-                        (Interval.bef e.a_snapshot_iv)
-                        (Interval.aft e.a_snapshot_iv))
-                    entries))));
+  |> List.sort by_key
+  |> List.iter (emit marks);
+  Hashtbl.fold (fun reader l acc -> (reader, !l) :: acc) t.awaiting []
+  |> List.sort by_key
+  |> List.iter (emit awaiting);
   Hashtbl.fold
     (fun _ tr acc -> Leopard_trace.Codec.to_line tr :: acc)
     t.dedup_seen []
   |> List.sort String.compare
-  |> List.iter (fun l -> line ("du\t" ^ l));
-  List.iter (fun l -> line ("vo\t" ^ l)) (Version_order.dump t.versions);
-  List.iter (fun l -> line ("me\t" ^ l)) (Me_verifier.dump t.me);
-  List.iter (fun l -> line ("fw\t" ^ l)) (Fuw_verifier.dump t.fuw);
-  List.iter (fun l -> line ("sc\t" ^ l)) (Sc_verifier.dump t.sc);
-  List.iter
-    (fun (d : Dep.t) ->
-      line
-        (Printf.sprintf "dl\t%s\t%d\t%d\t%s"
-           (Dep.kind_to_string d.kind)
-           d.from_txn d.to_txn
-           (Dep.source_to_string d.source)))
-    (Dep.Log.entries t.log);
-  List.rev !buf
-
-let split_tag line =
-  match String.index_opt line '\t' with
-  | None -> (line, "")
-  | Some i ->
-    (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-
-let parse_cell tb r c =
-  Cell.make ~table:(int_of_string tb) ~row:(int_of_string r)
-    ~col:(int_of_string c)
+  |> List.iter (emit dedup);
+  Version_order.dump t.versions (emit versions);
+  Me_verifier.dump t.me (emit locks);
+  Fuw_verifier.dump t.fuw (emit updaters);
+  Sc_verifier.dump t.sc (emit graph);
+  List.iter (emit log) (Dep.Log.entries t.log);
+  List.rev !lines
 
 let decode ?(gc_every = 512) ?(narrow_candidates = true)
     ?(relaxed_reads = false) (profile : Il_profile.t) lines =
   try
-    let header = ref None and scalars = ref None and forgotten = ref None in
-    let mech = ref [] and bugs = ref [] in
-    let txn_lines = ref [] and write_lines = ref [] and dep_lines = ref [] in
-    let deferred_lines = ref [] and ir_lines = ref [] in
-    let av_lines = ref [] and nv_lines = ref [] in
-    let mk_lines = ref [] and aw_lines = ref [] and du_lines = ref [] in
-    let vo_lines = ref [] and me_lines = ref [] in
-    let fw_lines = ref [] and sc_lines = ref [] and dl_lines = ref [] in
+    let t = create ~gc_every ~narrow_candidates ~relaxed_reads profile in
+    let rows = Array.make (List.length kinds) [] in
+    let index = Hashtbl.create 32 in
+    List.iteri (fun i (Any k) -> Hashtbl.replace index k.tag i) kinds;
+    let tagged = F.(pair '\t' word rest) in
     List.iter
       (fun line ->
-        let tag, rest = split_tag line in
-        let push r = r := rest :: !r in
-        match tag with
-        | "h" -> header := Some rest
-        | "s" -> scalars := Some rest
-        | "fs" -> forgotten := Some rest
-        | "mc" -> push mech
-        | "b" -> push bugs
-        | "x" -> push txn_lines
-        | "xw" -> push write_lines
-        | "xd" -> push dep_lines
-        | "df" -> push deferred_lines
-        | "ir" -> push ir_lines
-        | "av" -> push av_lines
-        | "nv" -> push nv_lines
-        | "mk" -> push mk_lines
-        | "aw" -> push aw_lines
-        | "du" -> push du_lines
-        | "vo" -> push vo_lines
-        | "me" -> push me_lines
-        | "fw" -> push fw_lines
-        | "sc" -> push sc_lines
-        | "dl" -> push dl_lines
-        | tag -> failwith ("Checker.decode: unknown record tag " ^ tag))
+        let tag, rest = F.read tagged line in
+        match Hashtbl.find_opt index tag with
+        | Some i -> rows.(i) <- rest :: rows.(i)
+        | None -> failwith ("Checker.decode: unknown record tag " ^ tag))
       lines;
-    let in_order r = List.rev !r in
-    (match !header with
-    | None -> failwith "Checker.decode: missing header record"
-    | Some h -> (
-      match String.split_on_char '\t' h with
-      | [ name; ck_gc; ck_narrow; ck_relaxed ] ->
-        if not (String.equal name profile.Il_profile.name) then
-          failwith
-            (Printf.sprintf
-               "Checker.decode: checkpoint was written for profile %s, not %s"
-               name profile.Il_profile.name);
-        if
-          int_of_string ck_gc <> gc_every
-          || bool_of_string ck_narrow <> narrow_candidates
-          || bool_of_string ck_relaxed <> relaxed_reads
-        then
-          failwith
-            "Checker.decode: checkpoint was written under different checker \
-             flags"
-      | _ -> failwith "Checker.decode: malformed header record"));
-    let txns = Hashtbl.create 4096 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ vid; status; fb; fa; tb; ta ] ->
-          let vid = int_of_string vid in
-          Hashtbl.replace txns vid
-            {
-              vid;
-              first_iv = parse_opt_iv fb fa;
-              terminal_iv = parse_opt_iv tb ta;
-              vstatus = status_of_code status;
-              writes = Cell.Tbl.create 8;
-              write_cells = [];
-              pending_deps = [];
-            }
-        | _ -> failwith "Checker.decode: malformed transaction record")
-      (in_order txn_lines);
-    let find_txn vid =
-      match Hashtbl.find_opt txns (int_of_string vid) with
-      | Some v -> v
-      | None -> failwith "Checker.decode: record references unknown transaction"
-    in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ vid; tb; r; c; value; ib; ia ] ->
-          let v = find_txn vid in
-          let cell = parse_cell tb r c in
-          if not (Cell.Tbl.mem v.writes cell) then
-            v.write_cells <- cell :: v.write_cells;
-          Cell.Tbl.replace v.writes cell (int_of_string value, parse_iv ib ia)
-        | _ -> failwith "Checker.decode: malformed write record")
-      (in_order write_lines);
-    let pending = Hashtbl.create 16 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ vid; kind; from_txn; to_txn; source ] ->
-          let v = find_txn vid in
-          let d =
-            {
-              Dep.kind = Dep.kind_of_string kind;
-              from_txn = int_of_string from_txn;
-              to_txn = int_of_string to_txn;
-              source = Dep.source_of_string source;
-            }
-          in
-          let r =
-            match Hashtbl.find_opt pending v.vid with
-            | Some r -> r
-            | None ->
-              let r = ref [] in
-              Hashtbl.replace pending v.vid r;
-              r
-          in
-          r := d :: !r
-        | _ -> failwith "Checker.decode: malformed pending-dep record")
-      (in_order dep_lines);
-    (* lint: allow hashtbl-order — each binding updates its own txn *)
-    Hashtbl.iter
-      (fun vid deps ->
-        match Hashtbl.find_opt txns vid with
-        | Some v -> v.pending_deps <- List.rev !deps
-        | None -> ())
-      pending;
-    let deferred =
-      Leopard_util.Min_heap.create ~compare:(fun a b ->
-          Int.compare (Interval.aft a.read_iv) (Interval.aft b.read_iv))
-    in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ reader; rb; ra; sb; sa; items ] ->
-          let items =
-            if items = "" then []
-            else
-              List.map
-                (fun part ->
-                  match String.split_on_char ',' part with
-                  | [ tb; r; c; value ] ->
-                    (parse_cell tb r c, int_of_string value)
-                  | _ -> failwith "Checker.decode: malformed read item")
-                (String.split_on_char ';' items)
-          in
-          Leopard_util.Min_heap.push deferred
-            {
-              reader = int_of_string reader;
-              read_iv = parse_iv rb ra;
-              snapshot_iv = parse_iv sb sa;
-              items;
-            }
-        | _ -> failwith "Checker.decode: malformed deferred-read record")
-      (in_order deferred_lines);
-    let cell_list_table lines parse_entry =
-      let table = Cell.Tbl.create 64 in
-      List.iter
-        (fun rest ->
-          match String.split_on_char '\t' rest with
-          | [ tb; r; c; entries ] ->
-            let entries =
-              if entries = "" then []
-              else List.map parse_entry (String.split_on_char ';' entries)
-            in
-            Cell.Tbl.replace table (parse_cell tb r c) (ref entries)
-          | _ -> failwith "Checker.decode: malformed per-cell record")
-        lines;
-      table
-    in
-    (* reader lists are comma-separated ints, not ';' entries *)
-    let initial_readers = Cell.Tbl.create 64 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ tb; r; c; readers ] ->
-          let readers =
-            if readers = "" then []
-            else List.map int_of_string (String.split_on_char ',' readers)
-          in
-          Cell.Tbl.replace initial_readers (parse_cell tb r c) (ref readers)
-        | _ -> failwith "Checker.decode: malformed initial-reader record")
-      (in_order ir_lines);
-    let aborted_values =
-      cell_list_table (in_order av_lines) (fun part ->
-          match String.split_on_char ',' part with
-          | [ value; txn; aft ] ->
-            (int_of_string value, int_of_string txn, int_of_string aft)
-          | _ -> failwith "Checker.decode: malformed aborted-value entry")
-    in
-    let indeterminate_values =
-      cell_list_table (in_order nv_lines) (fun part ->
-          match String.split_on_char ',' part with
-          | [ value; txn ] -> (int_of_string value, int_of_string txn)
-          | _ -> failwith "Checker.decode: malformed indeterminate-value entry")
-    in
-    let marks = Hashtbl.create 8 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ id; crashed; fate ] ->
-          Hashtbl.replace marks (int_of_string id)
-            { crashed = bool_of_string crashed; fate = fate_of_code fate }
-        | _ -> failwith "Checker.decode: malformed mark record")
-      (in_order mk_lines);
-    let awaiting = Hashtbl.create 8 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ reader; entries ] ->
-          let entries =
-            if entries = "" then []
-            else
-              List.map
-                (fun part ->
-                  match String.split_on_char ',' part with
-                  | [ tb; r; c; value; writer; rb; ra; sb; sa ] ->
-                    {
-                      a_cell = parse_cell tb r c;
-                      a_value = int_of_string value;
-                      a_writer = int_of_string writer;
-                      a_read_iv = parse_iv rb ra;
-                      a_snapshot_iv = parse_iv sb sa;
-                    }
-                  | _ -> failwith "Checker.decode: malformed awaiting entry")
-                (String.split_on_char ';' entries)
-          in
-          Hashtbl.replace awaiting (int_of_string reader) (ref entries)
-        | _ -> failwith "Checker.decode: malformed awaiting record")
-      (in_order aw_lines);
-    let dedup_seen = Hashtbl.create 64 in
-    List.iter
-      (fun rest ->
-        match Leopard_trace.Codec.of_line rest with
-        | Ok (Some tr) ->
-          Hashtbl.replace dedup_seen
-            (tr.Trace.client, tr.Trace.txn, tr.Trace.ts_bef)
-            tr
-        | Ok None -> failwith "Checker.decode: dedup record is a marker line"
-        | Error e -> failwith ("Checker.decode: " ^ e))
-      (in_order du_lines);
-    let log = Dep.Log.create () in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ kind; from_txn; to_txn; source ] ->
-          ignore
-            (Dep.Log.add log
-               {
-                 Dep.kind = Dep.kind_of_string kind;
-                 from_txn = int_of_string from_txn;
-                 to_txn = int_of_string to_txn;
-                 source = Dep.source_of_string source;
-               })
-        | _ -> failwith "Checker.decode: malformed dep-log record")
-      (in_order dl_lines);
-    let mech_counts = Hashtbl.create 4 in
-    List.iter
-      (fun rest ->
-        match String.split_on_char '\t' rest with
-        | [ m; n ] ->
-          Hashtbl.replace mech_counts (mechanism_of_string m) (int_of_string n)
-        | _ -> failwith "Checker.decode: malformed mechanism-count record")
-      (in_order mech);
-    let bugs_list =
-      List.map
-        (fun rest ->
-          match String.split_on_char '\t' rest with
-          | [ m; anomaly; txns; cell; row; detail ] ->
-            {
-              Bug.mechanism = mechanism_of_string m;
-              anomaly =
-                (if anomaly = "-" then None else Some (anomaly_of_string anomaly));
-              txns =
-                (if txns = "" then []
-                 else List.map int_of_string (String.split_on_char ',' txns));
-              cell =
-                (if cell = "-" then None
-                 else
-                   match String.split_on_char ',' cell with
-                   | [ tb; r; c ] -> Some (parse_cell tb r c)
-                   | _ -> failwith "Checker.decode: malformed bug cell");
-              row =
-                (if row = "-" then None
-                 else
-                   match String.split_on_char ',' row with
-                   | [ tb; r ] -> Some (int_of_string tb, int_of_string r)
-                   | _ -> failwith "Checker.decode: malformed bug row");
-              detail = Scanf.unescaped detail;
-            }
-          | _ -> failwith "Checker.decode: malformed bug record")
-        (in_order bugs)
-    in
-    let forgotten_by_source =
-      match !forgotten with
-      | None -> failwith "Checker.decode: missing truncation-tally record"
-      | Some rest ->
-        let fields = String.split_on_char '\t' rest in
-        if List.length fields <> List.length Dep.all_sources then
-          failwith "Checker.decode: malformed truncation-tally record";
-        Array.of_list (List.map int_of_string fields)
-    in
-    match !scalars with
-    | None -> failwith "Checker.decode: missing scalar record"
-    | Some rest -> (
-      match List.map int_of_string (String.split_on_char '\t' rest) with
-      | [
-       frontier; dedup_ts; traces; committed; aborted; bugs_total;
-       reads_checked; peak_live; pruned_versions; pruned_locks; pruned_fuw;
-       pruned_graph; dup_dropped; inconclusive_reads; ext_crashed_clients;
-       ext_late_dropped; ext_lost; ext_restarts; ext_recovery_lost;
-       ext_failovers; ext_lost_commits; finalized; truncations; truncated_deps;
-      ] ->
-        Ok
-          {
-            profile;
-            gc_every;
-            narrow_candidates;
-            relaxed_reads;
-            versions = Version_order.restore (in_order vo_lines);
-            me = Me_verifier.restore (in_order me_lines);
-            fuw = Fuw_verifier.restore (in_order fw_lines);
-            sc =
-              Sc_verifier.restore profile.Il_profile.check_sc
-                (in_order sc_lines);
-            log;
-            txns;
-            deferred;
-            initial_readers;
-            aborted_values;
-            marks;
-            indeterminate_values;
-            awaiting;
-            dedup_seen;
-            dedup_ts;
-            frontier;
-            traces;
-            committed;
-            aborted;
-            bugs_total;
-            bugs = List.rev bugs_list;
-            reads_checked;
-            peak_live;
-            pruned_versions;
-            pruned_locks;
-            pruned_fuw;
-            pruned_graph;
-            dup_dropped;
-            inconclusive_reads;
-            ext_crashed_clients;
-            ext_late_dropped;
-            ext_lost;
-            ext_restarts;
-            ext_recovery_lost;
-            ext_failovers;
-            ext_lost_commits;
-            finalized = finalized <> 0;
-            dep_hook = None;
-            mech_counts;
-            truncations;
-            truncated_deps;
-            forgotten_by_source;
-          }
-      | _ -> failwith "Checker.decode: malformed scalar record")
-  with
-  | Failure msg -> Error msg
-  | Invalid_argument msg -> Error msg
-  | Scanf.Scan_failure msg -> Error msg
+    List.iteri
+      (fun i (Any k) ->
+        let read rest =
+          try F.read k.row rest
+          with Failure e ->
+            failwith
+              (Printf.sprintf "Checker.decode: malformed %s record: %s" k.tag e)
+        in
+        k.load t (List.rev_map read rows.(i)))
+      kinds;
+    Ok t
+  with Failure msg | Invalid_argument msg -> Error msg

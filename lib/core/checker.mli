@@ -277,7 +277,21 @@ val encode : t -> string list
     lists keep their exact order), so feeding the same remaining stream
     to a decoded checker reproduces an uninterrupted run's report
     field-for-field.  Call after {!truncate} for a compact image.  The
-    dep hook is not serialized. *)
+    dep hook is not serialized.
+
+    A line is a tag, a tab and one row.  checker.ml declares each of
+    the 20 tags once, in one record table: the tag, the row's
+    {!Leopard_trace.Field} layout (which both writes and parses it) and
+    how decoded rows fill a fresh checker.  In order: [h] profile and
+    flags; [s] the 24 counters (one getter/setter table); [fs]
+    truncation tallies; [mc] and [b] bug counts and bugs; [x] each
+    transaction, followed by its [xw] writes and [xd] pending deps;
+    [df] deferred reads; [ir], [av] and [nv] per-cell initial readers,
+    aborted and indeterminate values; [mk] uncertainty marks; [aw]
+    parked read items; [du] delivered traces kept for deduplication;
+    [vo], [me], [fw] and [sc] the rows the four mirrors declare
+    themselves; [dl] the deduction log.  test/snapshot_fixtures pins
+    the bytes. *)
 
 val decode :
   ?gc_every:int ->

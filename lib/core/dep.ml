@@ -2,11 +2,7 @@ type kind = Ww | Wr | Rw
 
 let kind_to_string = function Ww -> "ww" | Wr -> "wr" | Rw -> "rw"
 
-let kind_of_string = function
-  | "ww" -> Ww
-  | "wr" -> Wr
-  | "rw" -> Rw
-  | s -> failwith ("Dep.kind_of_string: " ^ s)
+let kind_field = Leopard_trace.Field.enum kind_to_string [ Ww; Wr; Rw ]
 
 type source =
   | Direct
@@ -27,11 +23,6 @@ let source_to_string = function
 let all_sources =
   [ Direct; From_cr; From_me; From_fuw; From_version_order; Derived_rw ]
 
-let source_of_string s =
-  match List.find_opt (fun src -> String.equal (source_to_string src) s) all_sources with
-  | Some src -> src
-  | None -> failwith ("Dep.source_of_string: " ^ s)
-
 (* declaration order; pins the report ordering of [Log.by_source] *)
 let source_rank = function
   | Direct -> 0
@@ -42,6 +33,16 @@ let source_rank = function
   | Derived_rw -> 5
 
 type t = { kind : kind; from_txn : int; to_txn : int; source : source }
+
+let field =
+  Leopard_trace.Field.(
+    record (fun kind from_txn to_txn source ->
+        { kind; from_txn; to_txn; source })
+    |> field kind_field (fun d -> d.kind)
+    |> field int (fun d -> d.from_txn)
+    |> field int (fun d -> d.to_txn)
+    |> field (enum source_to_string all_sources) (fun d -> d.source)
+    |> seal '\t')
 
 module Log = struct
   type dep = t

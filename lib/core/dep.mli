@@ -12,8 +12,8 @@ type kind = Ww | Wr | Rw
 
 val kind_to_string : kind -> string
 
-val kind_of_string : string -> kind
-(** Inverse of {!kind_to_string}; raises [Failure] on unknown input. *)
+val kind_field : kind Leopard_trace.Field.t
+(** A kind by its {!kind_to_string} name. *)
 
 type source =
   | Direct  (** non-overlapping intervals: Fig. 3(a) *)
@@ -25,9 +25,6 @@ type source =
 
 val source_to_string : source -> string
 
-val source_of_string : string -> source
-(** Inverse of {!source_to_string}; raises [Failure] on unknown input. *)
-
 val all_sources : source list
 (** Every source, in declaration (report) order. *)
 
@@ -36,6 +33,10 @@ val source_rank : source -> int
     truncation tallies. *)
 
 type t = { kind : kind; from_txn : int; to_txn : int; source : source }
+
+val field : t Leopard_trace.Field.t
+(** Kind, from, to and source, tab-separated — a dependency in a
+    checkpoint snapshot. *)
 
 module Log : sig
   type dep = t

@@ -24,15 +24,16 @@ type t = {
 
 let create () = { rows = Hashtbl.create 1024; live = 0 }
 
+let row_entries t row =
+  match Hashtbl.find_opt t.rows row with
+  | Some r -> r
+  | None ->
+    let r = ref [] in
+    Hashtbl.replace t.rows row r;
+    r
+
 let register t ~row entry ~on_pair =
-  let entries =
-    match Hashtbl.find_opt t.rows row with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace t.rows row r;
-      r
-  in
+  let entries = row_entries t row in
   List.iter
     (fun other ->
       if other.ftxn <> entry.ftxn then
@@ -50,57 +51,34 @@ let referenced_txns t =
     t.rows []
   |> List.sort_uniq Int.compare
 
-(* Checkpoint codec: one line per entry, row-major sorted, entries in
+(* Checkpoint codec: one record per entry, row-major sorted, entries in
    list order ([register] evaluates a newcomer against the list in that
    order, pinning pair-evaluation order). *)
-let dump t =
-  Hashtbl.fold (fun row entries acc -> (row, !entries) :: acc) t.rows []
-  |> List.sort (fun ((ta, ra), _) ((tb, rb), _) ->
-         let c = Int.compare ta tb in
-         if c <> 0 then c else Int.compare ra rb)
-  |> List.concat_map (fun ((table, row), entries) ->
-         List.map
-           (fun e ->
-             Printf.sprintf "%d\t%d\t%d\t%d\t%d\t%d\t%d" table row e.ftxn
-               (Interval.bef e.snapshot_iv) (Interval.aft e.snapshot_iv)
-               (Interval.bef e.commit_iv) (Interval.aft e.commit_iv))
-           entries)
+type row = (int * int) * entry
 
-let restore lines =
-  let t = create () in
-  let tails = Hashtbl.create 64 in
+let row =
+  Leopard_trace.Field.(
+    pair '\t' (pair '\t' int int)
+      (record (fun ftxn snapshot_iv commit_iv ->
+           { ftxn; snapshot_iv; commit_iv })
+      |> field int (fun e -> e.ftxn)
+      |> field (interval '\t') (fun e -> e.snapshot_iv)
+      |> field (interval '\t') (fun e -> e.commit_iv)
+      |> seal '\t'))
+
+let dump t emit =
+  Hashtbl.fold (fun row entries acc -> (row, !entries) :: acc) t.rows []
+  |> List.sort (fun (a, _) (b, _) -> Leopard_trace.Cell.compare_row_key a b)
+  |> List.iter (fun (row, entries) ->
+         List.iter (fun e -> emit (row, e)) entries)
+
+let restore t rows =
   List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ table; row; ftxn; sb; sa; cb; ca ] ->
-        let row = (int_of_string table, int_of_string row) in
-        let e =
-          {
-            ftxn = int_of_string ftxn;
-            snapshot_iv =
-              Interval.make ~bef:(int_of_string sb) ~aft:(int_of_string sa);
-            commit_iv =
-              Interval.make ~bef:(int_of_string cb) ~aft:(int_of_string ca);
-          }
-        in
-        let r =
-          match Hashtbl.find_opt tails row with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.replace tails row r;
-            r
-        in
-        r := e :: !r;
-        t.live <- t.live + 1
-      | _ -> failwith "Fuw_verifier.restore: malformed line")
-    lines;
-  (* lint: allow hashtbl-order — each binding becomes its own row list;
-     the rows table is only consulted per key *)
-  Hashtbl.iter
-    (fun row r -> Hashtbl.replace t.rows row (ref (List.rev !r)))
-    tails;
-  t
+    (fun (row, e) ->
+      let entries = row_entries t row in
+      entries := e :: !entries;
+      t.live <- t.live + 1)
+    (List.rev rows)
 
 let prune t ~horizon =
   let dropped = ref 0 in

@@ -50,13 +50,17 @@ val referenced_txns : t -> int list
 (** Sorted ids of every transaction with a retained registry entry — the
     FUW contribution to the truncation retained-set. *)
 
-val dump : t -> string list
-(** Serialize the registry, row-major sorted, preserving per-row entry
-    order (it pins pair-evaluation order).  Inverse of {!restore}. *)
+type row
 
-val restore : string list -> t
-(** Rebuild a registry from {!dump} output.  Raises [Failure] on a
-    malformed line. *)
+val row : row Leopard_trace.Field.t
+(** A registry entry and its row, as one snapshot record. *)
+
+val dump : t -> (row -> unit) -> unit
+(** The registry, row-major sorted, preserving per-row entry order (it
+    pins pair-evaluation order).  Inverse of {!restore}. *)
+
+val restore : t -> row list -> unit
+(** Fill a fresh registry with {!dump}'s rows, in dump order. *)
 
 val prune : t -> horizon:int -> int
 (** Drop entries whose commit after-timestamp is [<= horizon]: any future

@@ -119,99 +119,54 @@ let referenced_txns t =
   Hashtbl.fold (fun txn _ acc -> txn :: acc) t.by_txn from_rows
   |> List.sort_uniq Int.compare
 
-(* Checkpoint codec.  Two kinds of line: [e] rows (one per lock entry,
+(* Checkpoint codec.  Two kinds of record: [e] (one per lock entry,
    row-major sorted, entries in list order — [release] evaluates pairs in
-   that order, so it pins bug-detection order) and [t] rows (one per
+   that order, so it pins bug-detection order) and [t] (one per
    transaction's by_txn binding, txn-sorted, row-list order preserved —
    [release] walks rows in that order). *)
-let dump t =
-  let entry_lines =
-    Hashtbl.fold (fun row entries acc -> (row, !entries) :: acc) t.rows []
-    |> List.sort (fun ((ta, ra), _) ((tb, rb), _) ->
-           let c = Int.compare ta tb in
-           if c <> 0 then c else Int.compare ra rb)
-    |> List.concat_map (fun ((table, row), entries) ->
-           List.map
-             (fun e ->
-               let rb, ra =
-                 match e.release_iv with
-                 | Some r ->
-                   (string_of_int (Interval.bef r), string_of_int (Interval.aft r))
-                 | None -> ("-", "-")
-               in
-               Printf.sprintf "e\t%d\t%d\t%d\t%s\t%d\t%d\t%s\t%s" table row
-                 e.etxn
-                 (match e.mode with S -> "S" | X -> "X")
-                 (Interval.bef e.acquire_iv) (Interval.aft e.acquire_iv) rb ra)
-             entries)
-  in
-  let txn_lines =
-    Hashtbl.fold (fun txn rows acc -> (txn, rows) :: acc) t.by_txn []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map (fun (txn, rows) ->
-           Printf.sprintf "t\t%d\t%s" txn
-             (String.concat ";"
-                (List.map (fun (tb, r) -> Printf.sprintf "%d,%d" tb r) rows)))
-  in
-  entry_lines @ txn_lines
+type row = Lock of (int * int) * entry | Holds of int * (int * int) list
 
-let restore lines =
-  let t = create () in
-  let tails = Hashtbl.create 64 in
+let row =
+  let open Leopard_trace.Field in
+  let key = pair '\t' int int in
+  let entry =
+    record (fun etxn mode acquire_iv release_iv ->
+        { etxn; mode; acquire_iv; release_iv })
+    |> field int (fun e -> e.etxn)
+    |> field (enum (function S -> "S" | X -> "X") [ S; X ]) (fun e -> e.mode)
+    |> field (interval '\t') (fun e -> e.acquire_iv)
+    |> field (option ~none:"-\t-" (interval '\t')) (fun e -> e.release_iv)
+    |> seal '\t'
+  in
+  union '\t'
+    [
+      case "e" (pair '\t' key entry)
+        (function Lock (k, e) -> Some (k, e) | Holds _ -> None)
+        (fun (k, e) -> Lock (k, e));
+      case "t"
+        (pair '\t' int (list ';' (pair ',' int int)))
+        (function Holds (txn, rows) -> Some (txn, rows) | Lock _ -> None)
+        (fun (txn, rows) -> Holds (txn, rows));
+    ]
+
+let dump t emit =
+  Hashtbl.fold (fun row entries acc -> (row, !entries) :: acc) t.rows []
+  |> List.sort (fun (a, _) (b, _) -> Leopard_trace.Cell.compare_row_key a b)
+  |> List.iter (fun (row, entries) ->
+         List.iter (fun e -> emit (Lock (row, e))) entries);
+  Hashtbl.fold (fun txn rows acc -> (txn, rows) :: acc) t.by_txn []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (txn, rows) -> emit (Holds (txn, rows)))
+
+let restore t rows =
   List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ "e"; table; row; etxn; mode; ab; aa; rb; ra ] ->
-        let row = (int_of_string table, int_of_string row) in
-        let release_iv =
-          match (rb, ra) with
-          | "-", "-" -> None
-          | rb, ra ->
-            Some (Interval.make ~bef:(int_of_string rb) ~aft:(int_of_string ra))
-        in
-        let e =
-          {
-            etxn = int_of_string etxn;
-            mode =
-              (match mode with
-              | "S" -> S
-              | "X" -> X
-              | _ -> failwith "Me_verifier.restore: bad mode");
-            acquire_iv =
-              Interval.make ~bef:(int_of_string ab) ~aft:(int_of_string aa);
-            release_iv;
-          }
-        in
-        let r =
-          match Hashtbl.find_opt tails row with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.replace tails row r;
-            r
-        in
-        r := e :: !r;
+    (function
+      | Lock (row, e) ->
+        let entries = row_entries t row in
+        entries := e :: !entries;
         t.live <- t.live + 1
-      | [ "t"; txn; rows ] ->
-        let rows =
-          if rows = "" then []
-          else
-            List.map
-              (fun pair ->
-                match String.split_on_char ',' pair with
-                | [ tb; r ] -> (int_of_string tb, int_of_string r)
-                | _ -> failwith "Me_verifier.restore: bad row pair")
-              (String.split_on_char ';' rows)
-        in
-        Hashtbl.replace t.by_txn (int_of_string txn) rows
-      | _ -> failwith "Me_verifier.restore: malformed line")
-    lines;
-  (* lint: allow hashtbl-order — each binding becomes its own row list;
-     the rows table is only consulted per key *)
-  Hashtbl.iter
-    (fun row r -> Hashtbl.replace t.rows row (ref (List.rev !r)))
-    tails;
-  t
+      | Holds (txn, rows) -> Hashtbl.replace t.by_txn txn rows)
+    (List.rev rows)
 
 let prune t ~horizon =
   let dropped = ref 0 in

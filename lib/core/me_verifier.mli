@@ -70,15 +70,19 @@ val referenced_txns : t -> int list
 (** Sorted ids of every transaction holding a retained lock entry — the
     lock-table contribution to the truncation retained-set. *)
 
-val dump : t -> string list
-(** Serialize the lock table (row-major, sorted row keys) and the
+type row
+
+val row : row Leopard_trace.Field.t
+(** A lock entry or a transaction's row list, as one snapshot record. *)
+
+val dump : t -> (row -> unit) -> unit
+(** The lock table (row-major, sorted row keys), then the
     per-transaction row lists, preserving both list orders — [release]
     iterates them, so they pin pair-evaluation order.  Inverse of
     {!restore}. *)
 
-val restore : string list -> t
-(** Rebuild a lock table from {!dump} output.  Raises [Failure] on a
-    malformed line. *)
+val restore : t -> row list -> unit
+(** Fill a fresh lock table with {!dump}'s rows, in dump order. *)
 
 val prune : t -> horizon:int -> int
 (** Drop released entries whose release after-timestamp is [<= horizon]:

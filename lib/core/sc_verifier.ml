@@ -180,88 +180,44 @@ let gc t ~frontier =
   done;
   !pruned
 
-(* Checkpoint codec: one line per node, txn-sorted.  [out_edges],
+(* Checkpoint codec: one record per node, txn-sorted.  [out_edges],
    [in_rw] and [out_rw] keep their list order (the certifier checks
    iterate them, pinning bug order); rw witnesses are dumped with their
    interval copies because they may reference nodes the gc already
    removed.  [in_degree] and [edge_count] are recomputed on restore —
    every live out-edge targets a live node (gc only removes in-degree
    zero nodes, removing their out-edges with them). *)
-let dump t =
-  let rw_ends ends =
-    String.concat ";"
-      (List.map
-         (fun r ->
-           Printf.sprintf "%d,%d,%d,%d,%d" r.rtxn (Interval.bef r.rfirst)
-             (Interval.aft r.rfirst) (Interval.bef r.rterminal)
-             (Interval.aft r.rterminal))
-         ends)
+type row = node
+
+let row =
+  let open Leopard_trace.Field in
+  let rw_ends =
+    list ';'
+      (record (fun rtxn rfirst rterminal -> { rtxn; rfirst; rterminal })
+      |> field int (fun r -> r.rtxn)
+      |> field (interval ',') (fun r -> r.rfirst)
+      |> field (interval ',') (fun r -> r.rterminal)
+      |> seal ',')
   in
+  record (fun ntxn first_iv terminal_iv out_edges in_rw out_rw ->
+      { ntxn; first_iv; terminal_iv; out_edges; in_degree = 0; in_rw; out_rw })
+  |> field int (fun n -> n.ntxn)
+  |> field (interval '\t') (fun n -> n.first_iv)
+  |> field (interval '\t') (fun n -> n.terminal_iv)
+  |> field (list ';' (pair ',' int Dep.kind_field)) (fun n -> n.out_edges)
+  |> field rw_ends (fun n -> n.in_rw)
+  |> field rw_ends (fun n -> n.out_rw)
+  |> seal '\t'
+
+let dump t emit =
   Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []
   |> List.sort (fun a b -> Int.compare a.ntxn b.ntxn)
-  |> List.map (fun n ->
-         Printf.sprintf "%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s" n.ntxn
-           (Interval.bef n.first_iv) (Interval.aft n.first_iv)
-           (Interval.bef n.terminal_iv) (Interval.aft n.terminal_iv)
-           (String.concat ";"
-              (List.map
-                 (fun (target, kind) ->
-                   Printf.sprintf "%d,%s" target (Dep.kind_to_string kind))
-                 n.out_edges))
-           (rw_ends n.in_rw) (rw_ends n.out_rw))
+  |> List.iter emit
 
-let restore certifier lines =
-  let t = create certifier in
-  let parse_rw_ends s =
-    if s = "" then []
-    else
-      List.map
-        (fun part ->
-          match String.split_on_char ',' part with
-          | [ rtxn; fb; fa; tb; ta ] ->
-            {
-              rtxn = int_of_string rtxn;
-              rfirst =
-                Interval.make ~bef:(int_of_string fb) ~aft:(int_of_string fa);
-              rterminal =
-                Interval.make ~bef:(int_of_string tb) ~aft:(int_of_string ta);
-            }
-          | _ -> failwith "Sc_verifier.restore: bad rw witness")
-        (String.split_on_char ';' s)
-  in
+let restore t nodes =
+  List.iter (fun n -> Hashtbl.replace t.nodes n.ntxn n) nodes;
   List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ ntxn; fb; fa; tb; ta; out_edges; in_rw; out_rw ] ->
-        let out_edges =
-          if out_edges = "" then []
-          else
-            List.map
-              (fun part ->
-                match String.split_on_char ',' part with
-                | [ target; kind ] ->
-                  (int_of_string target, Dep.kind_of_string kind)
-                | _ -> failwith "Sc_verifier.restore: bad edge")
-              (String.split_on_char ';' out_edges)
-        in
-        let ntxn = int_of_string ntxn in
-        Hashtbl.replace t.nodes ntxn
-          {
-            ntxn;
-            first_iv =
-              Interval.make ~bef:(int_of_string fb) ~aft:(int_of_string fa);
-            terminal_iv =
-              Interval.make ~bef:(int_of_string tb) ~aft:(int_of_string ta);
-            out_edges;
-            in_degree = 0;
-            in_rw = parse_rw_ends in_rw;
-            out_rw = parse_rw_ends out_rw;
-          }
-      | _ -> failwith "Sc_verifier.restore: malformed node line")
-    lines;
-  (* lint: allow hashtbl-order — in-degree increments are commutative *)
-  Hashtbl.iter
-    (fun _ n ->
+    (fun n ->
       t.edge_count <- t.edge_count + List.length n.out_edges;
       List.iter
         (fun (target, _) ->
@@ -269,8 +225,7 @@ let restore certifier lines =
           | Some m -> m.in_degree <- m.in_degree + 1
           | None -> failwith "Sc_verifier.restore: edge to unknown node")
         n.out_edges)
-    t.nodes;
-  t
+    nodes
 
 let has_cycle t =
   let color = Hashtbl.create 64 in

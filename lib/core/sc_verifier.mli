@@ -52,16 +52,22 @@ val gc : t -> frontier:int -> int
     trace has [ts_bef >= frontier]; cascades while new in-degree-zero
     garbage appears.  Returns nodes pruned. *)
 
-val dump : t -> string list
-(** Serialize the graph, txn-sorted, preserving edge and rw-witness list
-    order (they pin certifier-check order); witnesses carry their
-    interval copies because they may outlive gc'd nodes.  Inverse of
+type row
+
+val row : row Leopard_trace.Field.t
+(** A graph node, with its edges and rw witnesses, as one snapshot
+    record. *)
+
+val dump : t -> (row -> unit) -> unit
+(** The graph, txn-sorted, preserving edge and rw-witness list order
+    (they pin certifier-check order); witnesses carry their interval
+    copies because they may outlive gc'd nodes.  Inverse of
     {!restore}. *)
 
-val restore : Il_profile.certifier option -> string list -> t
-(** Rebuild a graph from {!dump} output without re-running certifier
+val restore : t -> row list -> unit
+(** Fill a fresh graph with {!dump}'s rows without re-running certifier
     checks; in-degrees and the edge count are recomputed.  Raises
-    [Failure] on malformed input. *)
+    [Failure] on an edge to a node the rows do not carry. *)
 
 val has_cycle : t -> bool
 (** Full cycle search over the current graph — used by tests to

@@ -60,68 +60,37 @@ let referenced_txns t =
     t.chains []
   |> List.sort_uniq Int.compare
 
-(* Checkpoint codec: one line per version, cell-major sorted so the dump
-   is deterministic whatever the hashtable's insertion history; versions
-   keep their in-chain (ascending commit aft) order and readers keep
-   their list order, both of which downstream deductions observe. *)
-let dump t =
+(* Checkpoint codec: one record per version, cell-major sorted so the
+   dump is deterministic whatever the hashtable's insertion history;
+   versions keep their in-chain (ascending commit aft) order and readers
+   keep their list order, both of which downstream deductions observe. *)
+type row = Cell.t * version
+
+let row =
+  Leopard_trace.Field.(
+    pair '\t' (cell '\t')
+      (record (fun value vtxn write_iv commit_iv readers ->
+           { value; vtxn; write_iv; commit_iv; readers })
+      |> field int (fun v -> v.value)
+      |> field int (fun v -> v.vtxn)
+      |> field (interval '\t') (fun v -> v.write_iv)
+      |> field (interval '\t') (fun v -> v.commit_iv)
+      |> field (list ',' int) (fun v -> v.readers)
+      |> seal '\t'))
+
+let dump t emit =
   Cell.Tbl.fold (fun cell c acc -> (cell, c.versions) :: acc) t.chains []
   |> List.sort (fun (a, _) (b, _) -> Cell.compare a b)
-  |> List.concat_map (fun ((cell : Cell.t), versions) ->
-         List.map
-           (fun v ->
-             Printf.sprintf "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s"
-               cell.Cell.table cell.Cell.row cell.Cell.col v.value v.vtxn
-               (Interval.bef v.write_iv) (Interval.aft v.write_iv)
-               (Interval.bef v.commit_iv) (Interval.aft v.commit_iv)
-               (String.concat ","
-                  (List.map string_of_int v.readers)))
-           versions)
+  |> List.iter (fun (cell, versions) ->
+         List.iter (fun v -> emit (cell, v)) versions)
 
-let restore lines =
-  let t = create () in
-  let tails = Cell.Tbl.create 64 in
+let restore t rows =
   List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | [ tb; rw; cl; value; vtxn; wb; wa; cb; ca; readers ] ->
-        let cell =
-          Cell.make ~table:(int_of_string tb) ~row:(int_of_string rw)
-            ~col:(int_of_string cl)
-        in
-        let readers =
-          if readers = "" then []
-          else List.map int_of_string (String.split_on_char ',' readers)
-        in
-        let v =
-          {
-            value = int_of_string value;
-            vtxn = int_of_string vtxn;
-            write_iv =
-              Interval.make ~bef:(int_of_string wb) ~aft:(int_of_string wa);
-            commit_iv =
-              Interval.make ~bef:(int_of_string cb) ~aft:(int_of_string ca);
-            readers;
-          }
-        in
-        let r =
-          match Cell.Tbl.find_opt tails cell with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Cell.Tbl.add tails cell r;
-            r
-        in
-        r := v :: !r;
-        t.live <- t.live + 1
-      | _ -> failwith "Version_order.restore: malformed version line")
-    lines;
-  (* lint: allow hashtbl-order — each binding becomes its own chain; the
-     chains table is only ever consulted per cell *)
-  Cell.Tbl.iter
-    (fun cell r -> Cell.Tbl.replace t.chains cell { versions = List.rev !r })
-    tails;
-  t
+    (fun (cell, v) ->
+      let c = get_chain t cell in
+      c.versions <- v :: c.versions;
+      t.live <- t.live + 1)
+    (List.rev rows)
 
 let prune t ~horizon =
   let dropped = ref 0 in

@@ -57,14 +57,18 @@ val referenced_txns : t -> int list
     writer and its matched readers) — the cell-mirror contribution to
     the truncation retained-set. *)
 
-val dump : t -> string list
-(** Serialize every retained version, cell-major in {!Cell.compare} order
+type row
+
+val row : row Leopard_trace.Field.t
+(** A retained version and its cell, as one snapshot record. *)
+
+val dump : t -> (row -> unit) -> unit
+(** Every retained version, cell-major in {!Cell.compare} order
     (deterministic whatever the insertion history); in-chain order and
     reader-list order are preserved exactly.  Inverse of {!restore}. *)
 
-val restore : string list -> t
-(** Rebuild a mirror from {!dump} output.  Raises [Failure] on a
-    malformed line. *)
+val restore : t -> row list -> unit
+(** Fill a fresh mirror with {!dump}'s rows, in dump order. *)
 
 val prune : t -> horizon:int -> int
 (** Garbage-collect versions that can never again be candidates for any

@@ -15,8 +15,10 @@
     - empty file, unrecognized header, foreign fingerprint: ignore the
       whole file, warn once;
     - torn or corrupt frame (bad marker, checksum mismatch, wrong line
-      count, failed unescape): trust the last frame that validated
-      end-to-end, warn once; if no frame survives, fresh start.
+      count, failed unescape): stop reading there and trust the last
+      complete frame before it, warn once; frames after the damage are
+      not read, even intact ones.  If no frame precedes the damage,
+      fresh start.
 
     Payload lines are individually [String.escaped] and checksummed
     (FNV-1a), so arbitrary snapshot bytes round-trip and single-byte
@@ -48,7 +50,8 @@ val close : writer -> unit
 
 val load :
   path:string -> fingerprint:string -> string list option * string option
-(** [(frame, warning)]: the payload lines of the newest frame that
-    validates end-to-end (unescaped, in written order), or [None] for a
-    fresh start.  [warning] is set whenever the file existed but could
-    not be fully trusted — the caller should surface it and continue. *)
+(** [(frame, warning)]: the payload lines (unescaped, in written order)
+    of the last complete frame before the first damaged one — the last
+    frame of an undamaged file — or [None] for a fresh start.  [warning]
+    is set whenever the file existed but could not be fully trusted —
+    the caller should surface it and continue. *)
