@@ -763,10 +763,9 @@ let horizon t =
      (its terminal trace cannot start before the read ends at a sequential
      client), but hostile histories can violate that; never prune past a
      queued read's snapshot. *)
-  List.fold_left
+  Leopard_util.Min_heap.fold
     (fun acc pr -> min acc (Interval.bef pr.snapshot_iv))
-    h
-    (Leopard_util.Min_heap.to_sorted_list t.deferred)
+    h t.deferred
 
 let prune_to t h =
   t.pruned_versions <-
@@ -808,7 +807,8 @@ let run_gc t = prune_to t (horizon t)
    entries/initial readers, and [narrow] only asks about live chain
    versions.  So once a transaction has vanished from every live
    structure, its log entries can be folded into accumulated tallies
-   and dropped — the summary keeps the counts (so reports agree with an
+   and dropped, in one [Dep.Log.drop] pass against the set of retained
+   ids; the summary keeps the counts (so reports agree with an
    untruncated run) while the memory is reclaimed. *)
 
 let truncate t ~watermark =
@@ -824,9 +824,7 @@ let truncate t ~watermark =
   List.iter keep (Sc_verifier.referenced_txns t.sc);
   (* lint: allow hashtbl-order — building a membership set; commutative *)
   Cell.Tbl.iter (fun _ readers -> List.iter keep !readers) t.initial_readers;
-  List.iter
-    (fun pr -> keep pr.reader)
-    (Leopard_util.Min_heap.to_sorted_list t.deferred);
+  Leopard_util.Min_heap.fold (fun () pr -> keep pr.reader) () t.deferred;
   (* lint: allow hashtbl-order — building a membership set; commutative *)
   Hashtbl.iter
     (fun reader entries ->
@@ -841,16 +839,10 @@ let truncate t ~watermark =
   Cell.Tbl.iter
     (fun _ entries -> List.iter (fun (_, id) -> keep id) !entries)
     t.indeterminate_values;
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem retained id) then
-        List.iter
-          (fun (d : Dep.t) ->
-            t.truncated_deps <- t.truncated_deps + 1;
-            let r = Dep.source_rank d.source in
-            t.forgotten_by_source.(r) <- t.forgotten_by_source.(r) + 1)
-          (Dep.Log.take_txn t.log id))
-    (Dep.Log.txns t.log);
+  Dep.Log.drop t.log ~keep:(Hashtbl.mem retained) (fun (d : Dep.t) ->
+      t.truncated_deps <- t.truncated_deps + 1;
+      let r = Dep.source_rank d.source in
+      t.forgotten_by_source.(r) <- t.forgotten_by_source.(r) + 1);
   t.truncations <- t.truncations + 1
 
 (* ------------------------------------------------------------------ *)
@@ -1190,13 +1182,14 @@ let report t =
         (Hashtbl.fold (fun m n acc -> (m, n) :: acc) t.mech_counts []);
     deps_deduced = Dep.Log.count t.log + t.truncated_deps;
     deduced_by_source =
-      (let live = Dep.Log.by_source t.log in
-       List.filter_map
-         (fun s ->
-           let l = Option.value ~default:0 (List.assoc_opt s live) in
-           let n = l + t.forgotten_by_source.(Dep.source_rank s) in
-           if n = 0 then None else Some (s, n))
-         Dep.all_sources);
+      List.filter_map
+        (fun s ->
+          let n =
+            Dep.Log.by_source t.log s
+            + t.forgotten_by_source.(Dep.source_rank s)
+          in
+          if n = 0 then None else Some (s, n))
+        Dep.all_sources;
     reads_checked = t.reads_checked;
     peak_live = t.peak_live;
     final_live = live_size t;

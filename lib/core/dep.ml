@@ -23,7 +23,8 @@ let source_to_string = function
 let all_sources =
   [ Direct; From_cr; From_me; From_fuw; From_version_order; Derived_rw ]
 
-(* declaration order; pins the report ordering of [Log.by_source] *)
+(* declaration order; pins the report ordering of sources and
+   indexes its per-source counts *)
 let source_rank = function
   | Direct -> 0
   | From_cr -> 1
@@ -44,78 +45,70 @@ let field =
     |> field (enum source_to_string all_sources) (fun d -> d.source)
     |> seal '\t')
 
+let kind_rank = function Ww -> 0 | Wr -> 1 | Rw -> 2
+
 module Log = struct
   type dep = t
 
+  (* The log is a set of (kind, from, to) triples; [source] rides along
+     in the stored record and plays no part in membership. *)
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal a b =
+      a.from_txn = b.from_txn && a.to_txn = b.to_txn && a.kind = b.kind
+
+    (* multiply-xorshift over the three fields; the table indexes buckets
+       by the low bits, so the high bits are folded down *)
+    let hash d =
+      let h = ((d.from_txn * 3) + kind_rank d.kind) * 0x2545F4914F6CDD1D in
+      let h = (h lxor d.to_txn) * 0x2545F4914F6CDD1D in
+      h lxor (h lsr 29)
+  end)
+
   type nonrec t = {
-    entries : (kind * int * int, dep) Hashtbl.t;
-    by_txn : (int, (kind * int * int) list) Hashtbl.t;
+    set : unit Tbl.t;
+    by_source : int array;  (* live entries, indexed by [source_rank] *)
   }
 
-  let create () = { entries = Hashtbl.create 4096; by_txn = Hashtbl.create 1024 }
+  let create () =
+    {
+      set = Tbl.create 4096;
+      by_source = Array.make (List.length all_sources) 0;
+    }
 
-  let remember_txn t txn key =
-    let keys = Option.value ~default:[] (Hashtbl.find_opt t.by_txn txn) in
-    Hashtbl.replace t.by_txn txn (key :: keys)
+  let tally t d delta =
+    let r = source_rank d.source in
+    t.by_source.(r) <- t.by_source.(r) + delta
 
   let add t (d : dep) =
-    let key = (d.kind, d.from_txn, d.to_txn) in
-    if Hashtbl.mem t.entries key then false
+    if Tbl.mem t.set d then false
     else begin
-      Hashtbl.replace t.entries key d;
-      remember_txn t d.from_txn key;
-      remember_txn t d.to_txn key;
+      Tbl.add t.set d ();
+      tally t d 1;
       true
     end
 
-  let mem t kind from_txn to_txn = Hashtbl.mem t.entries (kind, from_txn, to_txn)
-  let count t = Hashtbl.length t.entries
+  let mem t kind from_txn to_txn =
+    Tbl.mem t.set { kind; from_txn; to_txn; source = Direct }
 
-  let by_source t =
-    let tally = Hashtbl.create 8 in
-    (* lint: allow hashtbl-order — counting into a tally is commutative *)
-    Hashtbl.iter
-      (fun _ d ->
-        let c = Option.value ~default:0 (Hashtbl.find_opt tally d.source) in
-        Hashtbl.replace tally d.source (c + 1))
-      t.entries;
-    Hashtbl.fold (fun s c acc -> (s, c) :: acc) tally []
-    |> List.sort (fun (a, _) (b, _) ->
-           Int.compare (source_rank a) (source_rank b))
+  let count t = Tbl.length t.set
 
-  (* lint: allow hashtbl-order — the log is a set to its consumers: the
-     checker re-derives any order it needs from transaction ids *)
-  let iter t f = Hashtbl.iter (fun _ d -> f d) t.entries
+  let by_source t s = t.by_source.(source_rank s)
 
-  let forget_txn t txn =
-    match Hashtbl.find_opt t.by_txn txn with
-    | None -> ()
-    | Some keys ->
-      Hashtbl.remove t.by_txn txn;
-      List.iter (Hashtbl.remove t.entries) keys
-
-  let txns t =
-    Hashtbl.fold (fun txn _ acc -> txn :: acc) t.by_txn []
-    |> List.sort_uniq Int.compare
-
-  let take_txn t txn =
-    match Hashtbl.find_opt t.by_txn txn with
-    | None -> []
-    | Some keys ->
-      Hashtbl.remove t.by_txn txn;
-      List.filter_map
-        (fun key ->
-          match Hashtbl.find_opt t.entries key with
-          | None -> None
-          | Some d ->
-            Hashtbl.remove t.entries key;
-            Some d)
-        keys
-
-  let kind_rank = function Ww -> 0 | Wr -> 1 | Rw -> 2
+  let drop t ~keep f =
+    Tbl.filter_map_inplace
+      (fun d () ->
+        if keep d.from_txn && keep d.to_txn then Some ()
+        else begin
+          tally t d (-1);
+          f d;
+          None
+        end)
+      t.set
 
   let entries t =
-    Hashtbl.fold (fun _ d acc -> d :: acc) t.entries []
+    Tbl.fold (fun d () acc -> d :: acc) t.set []
     |> List.sort (fun a b ->
            let c = Int.compare (kind_rank a.kind) (kind_rank b.kind) in
            if c <> 0 then c

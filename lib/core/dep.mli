@@ -39,30 +39,33 @@ val field : t Leopard_trace.Field.t
     checkpoint snapshot. *)
 
 module Log : sig
+  (** The deduction log: a set of dependencies keyed by (kind, from, to).
+      Each entry keeps the record of its first deduction, [source]
+      included; a later deduction of the same triple from another source
+      is a duplicate.  The log also keeps a running count of its entries
+      per source, so {!count} and {!by_source} cost O(1). *)
+
   type dep = t
   type t
 
   val create : unit -> t
 
   val add : t -> dep -> bool
-  (** Record a deduction; [false] if the (kind, from, to) triple was
-      already known. *)
+  (** Record a deduction; [false] (and no change) if the (kind, from, to)
+      triple was already known. *)
 
   val mem : t -> kind -> int -> int -> bool
   val count : t -> int
-  val by_source : t -> (source * int) list
-  val iter : t -> (dep -> unit) -> unit
 
-  val forget_txn : t -> int -> unit
-  (** Drop log entries touching a garbage-collected transaction. *)
+  val by_source : t -> source -> int
+  (** Entries whose record came from the given source. *)
 
-  val txns : t -> int list
-  (** Sorted list of transaction ids with at least one logged edge. *)
-
-  val take_txn : t -> int -> dep list
-  (** [forget_txn] that also returns the removed deductions, so a
-      truncating checker can fold them into accumulated tallies before
-      the memory is reclaimed. *)
+  val drop : t -> keep:(int -> bool) -> (dep -> unit) -> unit
+  (** [drop t ~keep f] removes, in one pass, every entry with an endpoint
+      [txn] such that [keep txn] is false, and calls [f] exactly once on
+      each removed entry (also when both its endpoints fail [keep]).  The
+      order of the calls is unspecified, so [f] should be commutative,
+      such as adding to a tally.  [f] must not touch [t]. *)
 
   val entries : t -> dep list
   (** All logged deductions in a canonical (kind, from, to, source)

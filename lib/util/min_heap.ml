@@ -91,6 +91,13 @@ let drain_while t keep =
 
 let clear t = t.size <- 0
 
+let fold f init t =
+  let acc = ref init in
+  for i = 0 to t.size - 1 do
+    acc := f !acc t.data.(i).value
+  done;
+  !acc
+
 let to_sorted_list t =
   let copy =
     {

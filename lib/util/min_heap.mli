@@ -36,9 +36,15 @@ val drain_while : 'a t -> ('a -> bool) -> 'a list
 
 val clear : 'a t -> unit
 
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+(** [fold f init t] folds [f] over every stored element in an unspecified
+    order, without copying or changing the heap; O(n).  For order-free
+    summaries (a minimum, a membership set). *)
+
 val to_sorted_list : 'a t -> 'a list
-(** Non-destructively lists all elements in ascending order (costly; used
-    only by tests). *)
+(** Non-destructively lists all elements in ascending order — O(n log n)
+    and a copy of the heap; for callers whose output order matters (the
+    checker's checkpoint encoder, tests).  Prefer {!fold} otherwise. *)
 
 val peak_length : 'a t -> int
 (** High-water mark of {!length} since creation — the pipeline memory

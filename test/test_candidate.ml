@@ -121,6 +121,42 @@ let prop_sampled_visible_is_candidate =
       | None -> true (* read would see the initial state *)
       | Some (v, _) -> List.memq v candidates)
 
+(* [candidates] takes one pass without building [classify]'s list; it
+   must keep exactly the versions [classify] marks possibly visible, in
+   chain order. *)
+let prop_candidates_match_classify =
+  let gen =
+    QCheck.Gen.(
+      let interval =
+        map2 (fun a b -> iv (min a b) (max a b + 1)) (int_bound 100) (int_bound 100)
+      in
+      pair (list_size (0 -- 10) interval) interval)
+  in
+  let arb =
+    QCheck.make gen ~print:(fun (vs, s) ->
+        Printf.sprintf "versions=[%s] snapshot=%s"
+          (String.concat ";" (List.map Interval.to_string vs))
+          (Interval.to_string s))
+  in
+  QCheck.Test.make ~name:"candidates = possibly-visible part of classify"
+    ~count:500 arb
+    (fun (commit_ivs, snapshot) ->
+      let chain =
+        List.mapi (fun i commit -> version ~txn:i ~value:i ~commit ()) commit_ivs
+        |> List.sort (fun (a : Version_order.version) b ->
+               Interval.compare_by_aft a.commit_iv b.commit_iv)
+      in
+      let expected =
+        List.filter_map
+          (fun (v, cls) ->
+            match cls with
+            | Candidate.Overlap | Pivot | Pivot_overlap -> Some v
+            | Future | Garbage -> None)
+          (Candidate.classify ~snapshot chain)
+      in
+      let got = Candidate.candidates ~snapshot chain in
+      List.length got = List.length expected && List.for_all2 ( == ) got expected)
+
 let suite =
   [
     Alcotest.test_case "Fig.6 classification" `Quick test_fig6_classification;
@@ -129,4 +165,5 @@ let suite =
     Alcotest.test_case "single version" `Quick test_single_version;
     Alcotest.test_case "empty chain" `Quick test_empty_chain;
     Helpers.qtest prop_sampled_visible_is_candidate;
+    Helpers.qtest prop_candidates_match_classify;
   ]

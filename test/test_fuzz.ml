@@ -309,10 +309,124 @@ let prop_lenient_total_on_mutations =
       || clean_counts_exact clean_lines counts ~traces:(List.length traces))
       && lenient_load_oracle mutated)
 
+(* Deduction log against a model: an association list from (kind, from,
+   to) to the first record deduced for it.  Random add/mem/drop
+   sequences over six transactions, so triples recur across sources and
+   a drop often removes entries with both endpoints gone. *)
+module Dep = Leopard.Dep
+
+type log_op =
+  | Add of Dep.t
+  | Mem of Dep.kind * int * int
+  | Drop of bool array  (* kept transactions, by id *)
+
+let kind_rank = function Dep.Ww -> 0 | Wr -> 1 | Rw -> 2
+
+let compare_dep (a : Dep.t) (b : Dep.t) =
+  let c = Int.compare (kind_rank a.kind) (kind_rank b.kind) in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.from_txn b.from_txn in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.to_txn b.to_txn in
+      if c <> 0 then c
+      else Int.compare (Dep.source_rank a.source) (Dep.source_rank b.source)
+
+let dep_to_string (d : Dep.t) =
+  Printf.sprintf "%s %d->%d %s" (Dep.kind_to_string d.kind) d.from_txn
+    d.to_txn (Dep.source_to_string d.source)
+
+let log_op_to_string = function
+  | Add d -> "add " ^ dep_to_string d
+  | Mem (k, a, b) -> Printf.sprintf "mem %s %d->%d" (Dep.kind_to_string k) a b
+  | Drop keep ->
+    "drop keep="
+    ^ String.concat ","
+        (List.filteri (fun i _ -> keep.(i)) (List.init 6 string_of_int))
+
+let gen_log_ops =
+  QCheck.Gen.(
+    let txn = int_bound 5 in
+    let kind = oneofl [ Dep.Ww; Wr; Rw ] in
+    let dep =
+      map3
+        (fun kind (from_txn, to_txn) source ->
+          { Dep.kind; from_txn; to_txn; source })
+        kind (pair txn txn) (oneofl Dep.all_sources)
+    in
+    list_size (0 -- 60)
+      (frequency
+         [
+           (6, map (fun d -> Add d) dep);
+           (2, map3 (fun k a b -> Mem (k, a, b)) kind txn txn);
+           (1, map (fun l -> Drop (Array.of_list l)) (list_repeat 6 bool));
+         ]))
+
+let run_log_model ops =
+  let log = Dep.Log.create () in
+  let model = ref [] in
+  let key (d : Dep.t) = (d.kind, d.from_txn, d.to_txn) in
+  let step = function
+    | Add d ->
+      let fresh = not (List.mem_assoc (key d) !model) in
+      if fresh then model := (key d, d) :: !model;
+      Dep.Log.add log d = fresh
+    | Mem (k, a, b) -> Dep.Log.mem log k a b = List.mem_assoc (k, a, b) !model
+    | Drop keep ->
+      let kept, gone =
+        List.partition
+          (fun (_, (d : Dep.t)) -> keep.(d.from_txn) && keep.(d.to_txn))
+          !model
+      in
+      model := kept;
+      let seen = ref [] in
+      Dep.Log.drop log ~keep:(fun id -> keep.(id)) (fun d -> seen := d :: !seen);
+      List.sort compare_dep !seen = List.sort compare_dep (List.map snd gone)
+  in
+  let consistent () =
+    let by_source s =
+      List.length (List.filter (fun (_, (d : Dep.t)) -> d.source = s) !model)
+    in
+    Dep.Log.count log = List.length !model
+    && List.for_all
+         (fun s -> Dep.Log.by_source log s = by_source s)
+         Dep.all_sources
+    && Dep.Log.entries log = List.sort compare_dep (List.map snd !model)
+  in
+  List.for_all (fun op -> step op && consistent ()) ops
+
+let prop_log_model =
+  QCheck.Test.make ~name:"deduction log agrees with an association-list model"
+    ~count:300
+    (QCheck.make gen_log_ops ~print:(fun ops ->
+         String.concat "; " (List.map log_op_to_string ops)))
+    run_log_model
+
+(* The case the one-pass drop must not double count: an entry whose two
+   endpoints both leave in the same pass is handed over once. *)
+let test_log_drop_both_endpoints () =
+  let d kind from_txn to_txn source = { Dep.kind; from_txn; to_txn; source } in
+  let ops =
+    [
+      Add (d Ww 1 2 From_me);
+      Add (d Wr 2 1 From_cr);
+      Add (d Rw 2 3 Derived_rw);
+      Add (d Ww 1 2 From_fuw);
+      Drop [| true; false; false; true; true; true |];
+      Add (d Ww 1 2 From_fuw);
+      Drop [| false; false; false; false; false; false |];
+    ]
+  in
+  Alcotest.(check bool) "model agrees" true (run_log_model ops)
+
 let suite =
   [
     Helpers.qtest prop_no_crash;
     Helpers.qtest prop_gc_invariant_verdicts;
     Helpers.qtest prop_codec_roundtrip_soup;
     Helpers.qtest prop_lenient_total_on_mutations;
+    Helpers.qtest prop_log_model;
+    Alcotest.test_case "log drop: both endpoints in one pass" `Quick
+      test_log_drop_both_endpoints;
   ]

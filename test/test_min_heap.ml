@@ -58,6 +58,18 @@ let test_to_sorted_list_nondestructive () =
     (Min_heap.to_sorted_list h);
   Alcotest.(check int) "heap intact" 3 (Min_heap.length h)
 
+let test_fold () =
+  let h = Min_heap.create ~compare in
+  Alcotest.(check int) "empty fold is init" 7 (Min_heap.fold ( + ) 7 h);
+  List.iter (Min_heap.push h) [ 5; 3; 8; 1; 9 ];
+  ignore (Min_heap.pop h);
+  Alcotest.(check int) "sum of stored" 25 (Min_heap.fold ( + ) 0 h);
+  Alcotest.(check int) "min of stored" 3 (Min_heap.fold min max_int h);
+  Alcotest.(check (list int)) "every element once" [ 3; 5; 8; 9 ]
+    (List.sort compare (Min_heap.fold (fun acc x -> x :: acc) [] h));
+  Alcotest.(check int) "heap intact" 4 (Min_heap.length h);
+  Alcotest.(check (option int)) "min unchanged" (Some 3) (Min_heap.peek h)
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains any list in sorted order" ~count:200
     QCheck.(list int)
@@ -112,6 +124,7 @@ let suite =
     Alcotest.test_case "pop_exn on empty" `Quick test_pop_exn;
     Alcotest.test_case "to_sorted_list non-destructive" `Quick
       test_to_sorted_list_nondestructive;
+    Alcotest.test_case "fold" `Quick test_fold;
     Helpers.qtest prop_heap_sorts;
     Helpers.qtest prop_interleaved;
   ]
